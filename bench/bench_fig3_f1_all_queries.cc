@@ -53,7 +53,7 @@ int main() {
     svaq_sum += svaq_f1;
     svaqd_sum += svaqd_f1;
     table.AddRow(
-        {"q" + std::to_string(qi),
+        {std::string("q").append(std::to_string(qi)),
          scenario.vocab().ActionTypeName(scenario.query().action),
          bench::Fmt("%.3f", svaq_f1), bench::Fmt("%.3f", svaqd_f1),
          bench::Fmt(static_cast<int64_t>(truth.size()))});

@@ -3,12 +3,12 @@
 // score-table access paths and the simulated detector.
 //
 // After the google-benchmark tables, main() self-times the
-// scan-statistic kernel and writes BENCH_micro.json — the first slice
-// of the ROADMAP raw-speed item. The recorded ns/op is informational
-// (wall clock moves with the machine); the CI-gated fields are
-// generous-budget booleans that only flip on an order-of-magnitude
-// regression (an accidental algorithmic blowup), never on machine
-// speed.
+// scan-statistic kernel and writes BENCH_micro.json. The recorded ns/op
+// is informational (wall clock moves with the machine). The CI-gated
+// fields do not depend on machine speed: generous-budget booleans that
+// only flip on an order-of-magnitude regression, and the in-process
+// speedup of the table-driven critical-value search over the retained
+// per-term reference, timed on the same grid in the same process.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "common/interval.h"
@@ -23,6 +24,7 @@
 #include "detect/models.h"
 #include "scanstat/critical_value.h"
 #include "scanstat/naus.h"
+#include "scanstat/reference.h"
 #include "storage/paged_table.h"
 #include "storage/score_table.h"
 #include "synth/generator.h"
@@ -188,6 +190,126 @@ double TimeScanTailNs(int64_t window) {
   return best / static_cast<double>(iters);
 }
 
+// --- In-process ratio gate: table kernel vs per-term reference ---------
+// CriticalValue against reference::CriticalValue on a fixed subset of the
+// grid the bit-identity tests sweep. Both sides run in this process on
+// the same points, so the ratio cancels the machine's speed. Each timed
+// round runs the two sides back to back, so both see the same machine
+// state; the gated speedup is the median of the per-round ratios, and the
+// recorded ns are each side's fastest pass. The reference is slow (O(k^2)
+// lgamma calls per probe), so the table side sweeps the grid many times
+// per pass to run about as long.
+
+struct GridPoint {
+  double p = 0.0;
+  scanstat::ScanConfig config;
+};
+
+std::vector<GridPoint> RatioGrid() {
+  std::vector<GridPoint> grid;
+  for (int64_t w : {10, 25, 50, 100, 200}) {
+    for (double p : {1e-3, 0.01, 0.05, 0.2}) {
+      for (double alpha : {0.05, 0.01, 0.001}) {
+        GridPoint point;
+        point.p = p;
+        point.config.window = w;
+        point.config.horizon = 100000;
+        point.config.alpha = alpha;
+        grid.push_back(point);
+      }
+    }
+  }
+  return grid;
+}
+
+// One timed pass of `sweeps` sweeps over the grid, in ns per
+// CriticalValue call.
+template <typename Fn>
+double TimeGridPassNs(const std::vector<GridPoint>& grid, int sweeps,
+                      Fn critical_value) {
+  int64_t sink = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    for (const GridPoint& point : grid) {
+      sink += critical_value(point.p, point.config);
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(sweeps * static_cast<int64_t>(grid.size()));
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Same critical value at every grid point, and the same tail-probability
+// bits for every k = 0..w+1 of every (w, p) on the grid.
+bool GridBitIdentical(const std::vector<GridPoint>& grid) {
+  for (const GridPoint& point : grid) {
+    if (scanstat::CriticalValue(point.p, point.config) !=
+        scanstat::reference::CriticalValue(point.p, point.config)) {
+      return false;
+    }
+    if (point.config.alpha != 0.05) continue;  // One tail sweep per (w, p).
+    const int64_t w = point.config.window;
+    const double L = point.config.L();
+    const scanstat::NausTables tables(w, point.p);
+    for (int64_t k = 0; k <= w + 1; ++k) {
+      if (!SameBits(scanstat::ScanStatisticTailProbability(k, tables, L),
+                    scanstat::reference::ScanStatisticTailProbability(
+                        k, point.p, w, L))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+struct RatioGate {
+  double table_ns = 0.0;
+  double reference_ns = 0.0;
+  double speedup = 0.0;
+  bool bit_identical = false;
+  bool speedup_ok = false;
+};
+
+constexpr double kMinCriticalValueSpeedup = 10.0;
+
+RatioGate RunCriticalValueRatio() {
+  const std::vector<GridPoint> grid = RatioGrid();
+  RatioGate gate;
+  gate.bit_identical = GridBitIdentical(grid);
+  constexpr int kRounds = 11;
+  constexpr int kTableSweeps = 64;
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    const double reference_ns =
+        TimeGridPassNs(grid, 1, scanstat::reference::CriticalValue);
+    const double table_ns =
+        TimeGridPassNs(grid, kTableSweeps, scanstat::CriticalValue);
+    if (round == 0 || reference_ns < gate.reference_ns) {
+      gate.reference_ns = reference_ns;
+    }
+    if (round == 0 || table_ns < gate.table_ns) gate.table_ns = table_ns;
+    ratios.push_back(reference_ns / table_ns);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
+  gate.speedup = ratios[kRounds / 2];
+  gate.speedup_ok = gate.speedup >= kMinCriticalValueSpeedup;
+  bench::TablePrinter table(
+      "Critical-value search: table kernel vs per-term reference",
+      {"points", "table_ns", "reference_ns", "speedup", "bit_identical"});
+  table.AddRow({bench::Fmt(static_cast<int64_t>(grid.size())),
+                bench::Fmt("%.0f", gate.table_ns),
+                bench::Fmt("%.0f", gate.reference_ns),
+                bench::Fmt("%.1f", gate.speedup),
+                gate.bit_identical ? "yes" : "NO"});
+  table.Print();
+  return gate;
+}
+
 int RunWallClockGate() {
   std::vector<KernelTiming> timings = {
       {10, 0.0, 25000.0}, {50, 0.0, 500000.0}, {200, 0.0, 5000000.0}};
@@ -202,6 +324,7 @@ int RunWallClockGate() {
                   bench::Fmt("%.0f", t.budget_ns), ok ? "yes" : "NO"});
   }
   table.Print();
+  const RatioGate ratio = RunCriticalValueRatio();
 
   FILE* json = std::fopen("BENCH_micro.json", "w");
   if (json == nullptr) {
@@ -211,20 +334,36 @@ int RunWallClockGate() {
   std::fprintf(json, "{\n");
   bench::WriteJsonMeta(json, 0,
                        "scan-statistic kernel ns/op, windows {10,50,200}, "
-                       "min of 7 repeats");
+                       "min of 7 repeats; CriticalValue vs per-term "
+                       "reference on w {10,25,50,100,200} x p "
+                       "{1e-3,0.01,0.05,0.2} x alpha {0.05,0.01,0.001}, "
+                       "median ratio of 11 paired rounds");
   for (const KernelTiming& t : timings) {
     std::fprintf(json,
                  "  \"scan_tail_ns_w%" PRId64 "\": %.1f,\n  "
                  "\"scan_tail_budget_ns_w%" PRId64 "\": %.0f,\n",
                  t.window, t.ns_per_op, t.window, t.budget_ns);
   }
-  std::fprintf(json, "  \"scan_tail_ns_ok\": %s\n", ns_ok ? "true" : "false");
+  std::fprintf(json, "  \"scan_tail_ns_ok\": %s,\n", ns_ok ? "true" : "false");
+  std::fprintf(json,
+               "  \"critical_value_ns\": %.1f,\n"
+               "  \"critical_value_reference_ns\": %.1f,\n"
+               "  \"critical_value_speedup_vs_reference\": %.2f,\n"
+               "  \"critical_value_bit_identical\": %s,\n"
+               "  \"critical_value_speedup_ok\": %s\n",
+               ratio.table_ns, ratio.reference_ns, ratio.speedup,
+               ratio.bit_identical ? "true" : "false",
+               ratio.speedup_ok ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);
 
   std::printf("scan-statistic kernel within wall-clock budget: %s\n",
               ns_ok ? "ok" : "FAIL");
-  return ns_ok ? 0 : 1;
+  std::printf("critical value bit-identical to the reference: %s; "
+              "speedup %.1fx (gate >= %.0fx): %s\n",
+              ratio.bit_identical ? "ok" : "FAIL", ratio.speedup,
+              kMinCriticalValueSpeedup, ratio.speedup_ok ? "ok" : "FAIL");
+  return ns_ok && ratio.bit_identical && ratio.speedup_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ int main() {
   for (int qi : {1, 2}) {
     bench::OfflineFixture fixture(synth::Scenario::YouTube(qi));
     const int64_t k = 5;
-    table.AddRow({"q" + std::to_string(qi),
+    table.AddRow({std::string("q").append(std::to_string(qi)),
                   cell(offline::FaTopK(fixture.tables, fixture.scoring, k)),
                   cell(fixture.RunRvaq(k, /*use_skip=*/false)),
                   cell(offline::PqTraverse(fixture.tables, fixture.scoring,

@@ -29,7 +29,7 @@ const char* PhaseName(Phase phase) {
 
 synth::ScenarioSpec ChaosScenarioSpec(int index, int minutes) {
   synth::ScenarioSpec spec;
-  spec.name = "s" + std::to_string(index);
+  spec.name = std::string("s").append(std::to_string(index));
   spec.minutes = minutes;
   spec.fps = 30;
   spec.seed = 70707 + 977 * static_cast<uint64_t>(index) +

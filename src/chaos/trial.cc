@@ -25,7 +25,9 @@ namespace vaq {
 namespace chaos {
 namespace {
 
-std::string SourceName(int64_t i) { return "s" + std::to_string(i); }
+std::string SourceName(int64_t i) {
+  return std::string("s").append(std::to_string(i));
+}
 
 std::string Fmt(double v) {
   std::ostringstream os;
@@ -604,7 +606,8 @@ StatusOr<ServeOut> RunServeOnce(const TrialScenario& s, IndexCache* cache,
   // dependent at threads > 0, and the oracle here is that the *tagged*
   // path (vaq_tenant_* accounting included) is thread-count-invariant.
   for (int t = 0; t < s.tenants; ++t) {
-    so.tenant_quotas["t" + std::to_string(t)] = s.num_queries;
+    so.tenant_quotas[std::string("t").append(std::to_string(t))] =
+        s.num_queries;
   }
   serve::Server server(so);
   for (int i = 0; i < s.num_streams; ++i) {

@@ -50,15 +50,18 @@ std::string EscapeJson(const std::string& s) {
 
 std::string LabelBlock(const Labels& labels) {
   if (labels.empty()) return "";
-  return "{" + CanonicalLabels(labels) + "}";
+  return std::string("{").append(CanonicalLabels(labels)).append("}");
 }
 
 std::string JsonLabels(const Labels& labels) {
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + EscapeJson(labels[i].first) + "\":\"" +
-           EscapeJson(labels[i].second) + "\"";
+    out.append("\"")
+        .append(EscapeJson(labels[i].first))
+        .append("\":\"")
+        .append(EscapeJson(labels[i].second))
+        .append("\"");
   }
   out += "}";
   return out;
@@ -68,7 +71,7 @@ std::string JsonLabels(const Labels& labels) {
 // values ("+Inf"/"-Inf"/"NaN"), which bare JSON numbers cannot express.
 std::string JsonNumber(double v) {
   if (std::isinf(v) || std::isnan(v)) {
-    return "\"" + FormatMetricValue(v) + "\"";
+    return std::string("\"").append(FormatMetricValue(v)).append("\"");
   }
   return FormatMetricValue(v);
 }

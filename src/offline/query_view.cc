@@ -11,9 +11,10 @@ StatusOr<const storage::TypeIndex*> FindObjectEntry(
     const Vocabulary& vocab) {
   const storage::TypeIndex* entry = index.FindObject(type);
   if (entry == nullptr) {
-    const std::string name = type >= 0 && type < vocab.num_object_types()
-                                 ? vocab.ObjectTypeName(type)
-                                 : "#" + std::to_string(type);
+    const std::string name =
+        type >= 0 && type < vocab.num_object_types()
+            ? vocab.ObjectTypeName(type)
+            : std::string("#").append(std::to_string(type));
     return Status::NotFound("object type not ingested: " + name);
   }
   return entry;
@@ -24,9 +25,10 @@ StatusOr<const storage::TypeIndex*> FindActionEntry(
     const Vocabulary& vocab) {
   const storage::TypeIndex* entry = index.FindAction(type);
   if (entry == nullptr) {
-    const std::string name = type >= 0 && type < vocab.num_action_types()
-                                 ? vocab.ActionTypeName(type)
-                                 : "#" + std::to_string(type);
+    const std::string name =
+        type >= 0 && type < vocab.num_action_types()
+            ? vocab.ActionTypeName(type)
+            : std::string("#").append(std::to_string(type));
     return Status::NotFound("action type not ingested: " + name);
   }
   return entry;

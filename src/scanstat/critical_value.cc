@@ -22,13 +22,16 @@ int64_t CriticalValue(double p, const ScanConfig& config) {
   VAQ_CHECK_LT(config.alpha, 1.0);
   const int64_t w = config.window;
   const double L = config.L();
+  // Every probe of the search reads the same Binomial(w, p) family, so
+  // tabulate it once.
+  const NausTables tables(w, p);
   // The tail probability is non-increasing in k, so binary search for the
   // first k meeting the significance level.
   int64_t lo = 1;       // Smallest candidate.
   int64_t hi = w + 1;   // Sentinel: "never significant".
   while (lo < hi) {
     const int64_t mid = lo + (hi - lo) / 2;
-    const double tail = ScanStatisticTailProbability(mid, p, w, L);
+    const double tail = ScanStatisticTailProbability(mid, tables, L);
     if (tail <= config.alpha) {
       hi = mid;
     } else {

@@ -11,19 +11,26 @@
 
 namespace vaq {
 namespace scanstat {
+
+NausTables::NausTables(int64_t w, double p) : w_(w), p_(p) {
+  VAQ_CHECK_GE(w, 1);
+  if (!(p > 0.0 && p < 1.0)) return;
+  bins_.reserve(3);
+  for (int64_t d = 0; d <= 2 && d <= w; ++d) bins_.emplace_back(w - d, p);
+}
+
 namespace {
 
 // Clamps a computed probability into [0, 1]; the closed forms below can
 // stray slightly outside through floating-point cancellation.
 double ClampUnit(double x) { return std::min(1.0, std::max(0.0, x)); }
 
-}  // namespace
-
 // Naus (1982) exact probability that no window of length w within 2w iid
 // Bernoulli(p) trials contains k or more successes. Notation: b(j) and
 // F(j) are the Binomial(w, p) pmf and cdf; F(j; n) the Binomial(n, p) cdf.
-double NausQ2(int64_t k, int64_t w, double p) {
-  VAQ_CHECK_GE(w, 1);
+double Q2(int64_t k, const NausTables& t) {
+  const int64_t w = t.w();
+  const double p = t.p();
   if (k <= 0) return 0.0;
   if (k > w) return 1.0;  // A window of w trials cannot reach k successes.
   if (p <= 0.0) return 1.0;
@@ -32,10 +39,11 @@ double NausQ2(int64_t k, int64_t w, double p) {
     // No success anywhere in the 2w trials.
     return std::exp(2.0 * static_cast<double>(w) * std::log1p(-p));
   }
-  const double bk = BinomialPmf(k, w, p);
-  const double f_km1 = BinomialCdf(k - 1, w, p);
-  const double f_km2 = BinomialCdf(k - 2, w, p);
-  const double f_km3_w1 = BinomialCdf(k - 3, w - 1, p);
+  const BinomialTable& b = t.Bin(0);
+  const double bk = b.Pmf(k);
+  const double f_km1 = b.Cdf(k - 1);
+  const double f_km2 = b.Cdf(k - 2);
+  const double f_km3_w1 = t.Bin(1).Cdf(k - 3);
   const double wd = static_cast<double>(w);
   const double kd = static_cast<double>(k);
   const double q2 = f_km1 * f_km1 - (kd - 1.0) * bk * f_km2 +
@@ -45,8 +53,9 @@ double NausQ2(int64_t k, int64_t w, double p) {
 
 // Naus (1982) exact probability that no window of length w within 3w iid
 // Bernoulli(p) trials contains k or more successes.
-double NausQ3(int64_t k, int64_t w, double p) {
-  VAQ_CHECK_GE(w, 1);
+double Q3(int64_t k, const NausTables& t) {
+  const int64_t w = t.w();
+  const double p = t.p();
   if (k <= 0) return 0.0;
   if (k > w) return 1.0;
   if (p <= 0.0) return 1.0;
@@ -54,15 +63,17 @@ double NausQ3(int64_t k, int64_t w, double p) {
   if (k == 1) {
     return std::exp(3.0 * static_cast<double>(w) * std::log1p(-p));
   }
+  const BinomialTable& b = t.Bin(0);
+  const BinomialTable& b_w1 = t.Bin(1);
   const double wd = static_cast<double>(w);
   const double kd = static_cast<double>(k);
-  const double bk = BinomialPmf(k, w, p);
-  const double f_km1 = BinomialCdf(k - 1, w, p);
-  const double f_km2 = BinomialCdf(k - 2, w, p);
-  const double f_km3 = BinomialCdf(k - 3, w, p);
-  const double f_km3_w1 = BinomialCdf(k - 3, w - 1, p);
-  const double f_km4_w1 = BinomialCdf(k - 4, w - 1, p);
-  const double f_km5_w2 = w >= 2 ? BinomialCdf(k - 5, w - 2, p) : 0.0;
+  const double bk = b.Pmf(k);
+  const double f_km1 = b.Cdf(k - 1);
+  const double f_km2 = b.Cdf(k - 2);
+  const double f_km3 = b.Cdf(k - 3);
+  const double f_km3_w1 = b_w1.Cdf(k - 3);
+  const double f_km4_w1 = b_w1.Cdf(k - 4);
+  const double f_km5_w2 = w >= 2 ? t.Bin(2).Cdf(k - 5) : 0.0;
 
   const double a1 =
       2.0 * bk * f_km1 * ((kd - 1.0) * f_km2 - wd * p * f_km3_w1);
@@ -73,28 +84,43 @@ double NausQ3(int64_t k, int64_t w, double p) {
        wd * (wd - 1.0) * p * p * f_km5_w2);
   double a3 = 0.0;
   for (int64_t r = 1; r <= k - 1; ++r) {
-    const double b2kr = BinomialPmf(2 * k - r, w, p);
+    const double b2kr = b.Pmf(2 * k - r);
     if (b2kr == 0.0) continue;
-    const double fr1 = BinomialCdf(r - 1, w, p);
+    const double fr1 = b.Cdf(r - 1);
     a3 += b2kr * fr1 * fr1;
   }
   double a4 = 0.0;
   for (int64_t r = 2; r <= k - 1; ++r) {
-    const double b2kr = BinomialPmf(2 * k - r, w, p);
+    const double b2kr = b.Pmf(2 * k - r);
     if (b2kr == 0.0) continue;
-    const double br = BinomialPmf(r, w, p);
+    const double br = b.Pmf(r);
     const double rd = static_cast<double>(r);
     a4 += b2kr * br *
-          ((rd - 1.0) * BinomialCdf(r - 2, w, p) -
-           wd * p * BinomialCdf(r - 3, w - 1, p));
+          ((rd - 1.0) * b.Cdf(r - 2) - wd * p * b_w1.Cdf(r - 3));
   }
   const double q3 = f_km1 * f_km1 * f_km1 - a1 + a2 + a3 - a4;
   return ClampUnit(q3);
 }
 
+}  // namespace
+
+double NausQ2(int64_t k, int64_t w, double p) {
+  return Q2(k, NausTables(w, p));
+}
+
+double NausQ3(int64_t k, int64_t w, double p) {
+  return Q3(k, NausTables(w, p));
+}
+
 double ScanStatisticTailProbability(int64_t k, double p, int64_t w,
                                     double L) {
-  VAQ_CHECK_GE(w, 1);
+  return ScanStatisticTailProbability(k, NausTables(w, p), L);
+}
+
+double ScanStatisticTailProbability(int64_t k, const NausTables& tables,
+                                    double L) {
+  const int64_t w = tables.w();
+  const double p = tables.p();
   if (k <= 0) return 1.0;
   if (k > w) return 0.0;
   if (p <= 0.0) return 0.0;
@@ -104,9 +130,9 @@ double ScanStatisticTailProbability(int64_t k, double p, int64_t w,
     // Exact: at least one success among N trials.
     return ClampUnit(-std::expm1(n_trials * std::log1p(-p)));
   }
-  const double q2 = NausQ2(k, w, p);
+  const double q2 = Q2(k, tables);
   if (q2 <= 0.0) return 1.0;
-  const double q3 = NausQ3(k, w, p);
+  const double q3 = Q3(k, tables);
   const double ratio = ClampUnit(q3 / q2);
   const double eff_l = std::max(L, 2.0);
   // P(S_w(N) < k) ≈ Q2 * (Q3/Q2)^(L-2); compute the power in log space.

@@ -14,9 +14,39 @@
 #define VAQ_SCANSTAT_NAUS_H_
 
 #include <cstdint>
+#include <vector>
+
+#include "common/logging.h"
+#include "scanstat/binomial.h"
 
 namespace vaq {
 namespace scanstat {
+
+// The Binomial(n, p) tables for n = w, w - 1 and w - 2: every pmf and cdf
+// value the Naus closed forms read for window w. Building them costs O(w)
+// exps; each closed-form evaluation afterwards is lookups and sums, so a
+// caller evaluating many k for one (w, p) — the critical-value search —
+// builds them once. For p outside (0, 1) the closed forms return before
+// reading a table, and none is built. Immutable after construction.
+class NausTables {
+ public:
+  // Requires w >= 1.
+  NausTables(int64_t w, double p);
+
+  int64_t w() const { return w_; }
+  double p() const { return p_; }
+  // Binomial(w - d, p) for d in {0, 1, 2}; exists for 0 < p < 1 and
+  // w - d >= 0 (a NaN p fails here, as it fails LogBinomialPmf).
+  const BinomialTable& Bin(int64_t d) const {
+    VAQ_CHECK_LT(d, static_cast<int64_t>(bins_.size())) << "p=" << p_;
+    return bins_[static_cast<size_t>(d)];
+  }
+
+ private:
+  int64_t w_;
+  double p_;
+  std::vector<BinomialTable> bins_;
+};
 
 // Exact P(S_w(2w) < k) for iid Bernoulli(p) trials (Naus 1982).
 // Requires w >= 1, 0 <= p <= 1. Defined for k >= 1; returns 0 for k <= 0.
@@ -30,6 +60,11 @@ double NausQ3(int64_t k, int64_t w, double p);
 // (-> 0; a window of w trials cannot hold more than w successes), k == 1
 // (-> 1 - (1-p)^N exactly), p == 0 (-> 0) and p == 1 (-> 1 for k <= w).
 double ScanStatisticTailProbability(int64_t k, double p, int64_t w, double L);
+
+// The same tail probability for (w, p) = (tables.w(), tables.p()) over
+// prebuilt tables; the overload above builds them per call.
+double ScanStatisticTailProbability(int64_t k, const NausTables& tables,
+                                    double L);
 
 // Exact P(S_w(N) >= k) by dynamic programming over the window bit-state.
 // O(N * 2^w) time; requires 1 <= w <= 20. Reference implementation for

@@ -43,7 +43,7 @@ std::vector<TenantSpec> MakeTenants(const WorkloadSpec& spec) {
   tenants.reserve(static_cast<size_t>(spec.num_tenants));
   for (int i = 0; i < spec.num_tenants; ++i) {
     TenantSpec tenant;
-    tenant.name = "t" + std::to_string(i);
+    tenant.name = std::string("t").append(std::to_string(i));
     tenant.weight = 1;
     tenant.queue_quota = spec.queue_quota;
     tenant.rate_qps = spec.base_qps;

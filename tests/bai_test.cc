@@ -214,9 +214,12 @@ constexpr char kRankedSql[] =
 std::string DescribeRanked(const query::QueryResult& result) {
   std::string out = result.accesses.ToString();
   for (const offline::RankedSequence& s : result.ranked) {
-    out += "\n" + s.clips.ToString() +
-           " lb=" + std::to_string(s.lower_bound) +
-           " ub=" + std::to_string(s.upper_bound);
+    out.append("\n")
+        .append(s.clips.ToString())
+        .append(" lb=")
+        .append(std::to_string(s.lower_bound))
+        .append(" ub=")
+        .append(std::to_string(s.upper_bound));
   }
   return out;
 }

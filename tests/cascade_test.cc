@@ -66,7 +66,7 @@ void ExpectProxyEqual(const ProxyVideoIndex& a, const ProxyVideoIndex& b) {
 ProxySet MakeDemoProxies(int num_videos, uint64_t seed) {
   ProxySet set;
   for (int i = 0; i < num_videos; ++i) {
-    const std::string name = "v" + std::to_string(i);
+    const std::string name = std::string("v").append(std::to_string(i));
     set.emplace(name,
                 BuildProxyIndex(name, tools::DemoScenario(i),
                                 detect::ModelProfile::ProxyCnn(),
@@ -303,9 +303,12 @@ constexpr char kRankedSql[] =
 std::string DescribeRanked(const query::QueryResult& result) {
   std::string out = result.accesses.ToString();
   for (const offline::RankedSequence& s : result.ranked) {
-    out += "\n" + s.clips.ToString() +
-           " lb=" + std::to_string(s.lower_bound) +
-           " ub=" + std::to_string(s.upper_bound);
+    out.append("\n")
+        .append(s.clips.ToString())
+        .append(" lb=")
+        .append(std::to_string(s.lower_bound))
+        .append(" ub=")
+        .append(std::to_string(s.upper_bound));
   }
   return out;
 }

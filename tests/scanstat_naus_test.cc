@@ -31,9 +31,9 @@ TEST(BinomialTest, PmfSumsToOne) {
 TEST(BinomialTest, CdfPlusSfIsConsistent) {
   for (double p : {0.01, 0.3, 0.7}) {
     for (int64_t n : {6, 25}) {
+      const BinomialTable table(n, p);
       for (int64_t k = 0; k <= n; ++k) {
-        EXPECT_NEAR(BinomialCdf(k, n, p) + BinomialSf(k + 1, n, p), 1.0,
-                    1e-10);
+        EXPECT_NEAR(table.Cdf(k) + table.Sf(k + 1), 1.0, 1e-10);
       }
     }
   }
@@ -43,10 +43,16 @@ TEST(BinomialTest, DegenerateProbabilities) {
   EXPECT_DOUBLE_EQ(BinomialPmf(0, 10, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(BinomialPmf(3, 10, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(BinomialPmf(10, 10, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(BinomialCdf(-1, 10, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(BinomialCdf(10, 10, 0.5), 1.0);
-  EXPECT_DOUBLE_EQ(BinomialSf(0, 10, 0.5), 1.0);
-  EXPECT_DOUBLE_EQ(BinomialSf(11, 10, 0.5), 0.0);
+  const BinomialTable half(10, 0.5);
+  EXPECT_DOUBLE_EQ(half.Cdf(-1), 0.0);
+  EXPECT_DOUBLE_EQ(half.Cdf(10), 1.0);
+  EXPECT_DOUBLE_EQ(half.Sf(0), 1.0);
+  EXPECT_DOUBLE_EQ(half.Sf(11), 0.0);
+  EXPECT_DOUBLE_EQ(half.Pmf(-1), 0.0);
+  EXPECT_DOUBLE_EQ(half.Pmf(11), 0.0);
+  EXPECT_DOUBLE_EQ(BinomialTable(10, 0.0).Pmf(0), 1.0);
+  EXPECT_DOUBLE_EQ(BinomialTable(10, 1.0).Pmf(10), 1.0);
+  EXPECT_DOUBLE_EQ(BinomialTable(10, 1.0).Cdf(9), 0.0);
 }
 
 // ---------------------------------------------------------------------------
