@@ -64,11 +64,18 @@ StatusOr<ProxyVideoIndex> DecodeProxyIndex(const std::string& blob) {
       VAQ_RETURN_IF_ERROR(payload.GetString(&column.concept_name));
       uint32_t n = 0;
       VAQ_RETURN_IF_ERROR(payload.GetU32(&n));
+      // Trust a count only once its 8-byte scores are present.
+      if (n > payload.remaining() / 8) {
+        return Status::Corruption("proxy column length overruns its record");
+      }
       column.scores.resize(n);
       for (uint32_t i = 0; i < n; ++i) {
         VAQ_RETURN_IF_ERROR(payload.GetF64(&column.scores[i]));
       }
       VAQ_RETURN_IF_ERROR(payload.GetU32(&n));
+      if (n > payload.remaining() / 8) {
+        return Status::Corruption("proxy column length overruns its record");
+      }
       column.heldout_positive.resize(n);
       for (uint32_t i = 0; i < n; ++i) {
         VAQ_RETURN_IF_ERROR(payload.GetF64(&column.heldout_positive[i]));

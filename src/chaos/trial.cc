@@ -15,7 +15,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/repository.h"
 #include "offline/scoring.h"
@@ -85,14 +84,6 @@ std::string StripBaiCertificates(std::string s) {
   }
   return s;
 }
-
-// RAII pin of the tracer clock to virtual zero, so span timestamps can
-// never leak wall-clock nondeterminism into any exported surface.
-class TracerPin {
- public:
-  TracerPin() { obs::Tracer::Global().SetClock([] { return 0.0; }); }
-  ~TracerPin() { obs::Tracer::Global().SetClock(nullptr); }
-};
 
 std::unique_ptr<serve::Server> MakeStandingServer(const TrialScenario& s,
                                                   IndexCache* cache,
@@ -726,7 +717,6 @@ StatusOr<TrialResult> RunTrial(const TrialScenario& scenario,
   TrialResult result;
   result.trial = scenario.trial;
   result.phase = scenario.phase;
-  const TracerPin pin;
   switch (scenario.phase) {
     case Phase::kStanding:
       VAQ_RETURN_IF_ERROR(

@@ -39,6 +39,11 @@ Status DecodeMetricEntry(PayloadReader* in, obs::Snapshot::Entry* out) {
   out->kind = static_cast<obs::Snapshot::Kind>(kind);
   uint32_t n_labels = 0;
   VAQ_RETURN_IF_ERROR(in->GetU32(&n_labels));
+  // Trust a count only once its bytes are present: each label is two
+  // length-prefixed strings, at least 8 bytes.
+  if (n_labels > in->remaining() / 8) {
+    return Status::Corruption("metric label count overruns its record");
+  }
   out->labels.reserve(n_labels);
   for (uint32_t i = 0; i < n_labels; ++i) {
     std::string key, value;
@@ -56,11 +61,15 @@ Status DecodeMetricEntry(PayloadReader* in, obs::Snapshot::Entry* out) {
     case obs::Snapshot::Kind::kHistogram: {
       uint32_t n_bounds = 0;
       VAQ_RETURN_IF_ERROR(in->GetU32(&n_bounds));
+      // n bounds, n + 1 bucket counts, then count and sum: 16n + 24 bytes.
+      if (uint64_t{n_bounds} * 16 + 24 > in->remaining()) {
+        return Status::Corruption("histogram bucket count overruns its record");
+      }
       out->bounds.resize(n_bounds);
       for (uint32_t i = 0; i < n_bounds; ++i) {
         VAQ_RETURN_IF_ERROR(in->GetF64(&out->bounds[i]));
       }
-      out->bucket_counts.resize(n_bounds + 1);
+      out->bucket_counts.resize(size_t{n_bounds} + 1);
       for (uint32_t i = 0; i <= n_bounds; ++i) {
         VAQ_RETURN_IF_ERROR(in->GetI64(&out->bucket_counts[i]));
       }

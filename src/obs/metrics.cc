@@ -226,6 +226,12 @@ void MetricRegistry::Reset() {
   }
 }
 
+void CountSpan(const char* name) {
+  MetricRegistry::Global()
+      .GetCounter("vaq_span_total", {{"span", name}})
+      ->Increment();
+}
+
 void RestoreSnapshot(const Snapshot& snap) {
   MetricRegistry& registry = MetricRegistry::Global();
   for (const Snapshot::Entry& entry : snap.entries) {

@@ -185,6 +185,12 @@ class MetricRegistry {
   std::map<std::pair<std::string, std::string>, Instrument> instruments_;
 };
 
+// Counts one entry into a named code region (string literals in
+// practice, e.g. "rvaq/run") as `vaq_span_total{span="<name>"}`. Only
+// the count is kept: wall time per engine lives in the engines' own
+// `*_wall_ms` result fields, never in this registry.
+void CountSpan(const char* name);
+
 // Canonical label rendering: key-sorted `k1="v1",k2="v2"` with
 // backslash/quote/newline escaping (the Prometheus text convention).
 std::string CanonicalLabels(Labels labels);
@@ -198,8 +204,7 @@ void RestoreSnapshot(const Snapshot& snap);
 // Subset of `in` whose family names start with any of `prefixes`, order
 // preserved. Tools and tests use this to export or compare only the
 // *logical* families of a run (event counts, simulated milliseconds) and
-// leave out timing-dependent ones such as wall-time span histograms or
-// queue-depth gauges.
+// leave out scheduling-dependent ones such as queue-depth gauges.
 Snapshot FilterSnapshot(const Snapshot& in,
                         const std::vector<std::string>& prefixes);
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace vaq {
 namespace offline {
@@ -53,7 +52,7 @@ Ingestor::Ingestor(const Vocabulary* vocab, const ScoringModel* scoring,
 StatusOr<storage::VideoIndex> Ingestor::Ingest(
     const synth::GroundTruth& truth,
     const detect::ModelBundle& models) const {
-  VAQ_TRACE_SPAN("ingest/run");
+  obs::CountSpan("ingest/run");
   obs::Counter* metric_tables = obs::MetricRegistry::Global().GetCounter(
       "vaq_ingest_tables_built_total");
   const VideoLayout& layout = truth.layout();
@@ -70,7 +69,7 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
 
   // --- Object types: tracker-scored tables + SVAQD individual sequences.
   for (ObjectTypeId type = 0; type < vocab_->num_object_types(); ++type) {
-    VAQ_TRACE_SPAN("ingest/object_table");
+    obs::CountSpan("ingest/object_table");
     storage::TypeIndex entry;
     entry.type_id = type;
     entry.type_name = vocab_->ObjectTypeName(type);
@@ -111,7 +110,7 @@ StatusOr<storage::VideoIndex> Ingestor::Ingest(
   // --- Action types: recognizer-scored tables + SVAQD individual
   // sequences.
   for (ActionTypeId type = 0; type < vocab_->num_action_types(); ++type) {
-    VAQ_TRACE_SPAN("ingest/action_table");
+    obs::CountSpan("ingest/action_table");
     storage::TypeIndex entry;
     entry.type_id = type;
     entry.type_name = vocab_->ActionTypeName(type);

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/tbclip.h"
 #include "storage/access_metrics.h"
 
@@ -52,15 +51,13 @@ Rvaq::Rvaq(const QueryTables* tables, const ScoringModel* scoring,
 }
 
 TopKResult Rvaq::Run() const {
-  VAQ_TRACE_SPAN("rvaq/run");
+  obs::CountSpan("rvaq/run");
   const auto start = std::chrono::steady_clock::now();
   ResetCounters(*tables_);
 
   TopKResult result;
-  {
-    VAQ_TRACE_SPAN("rvaq/compute_pq");
-    result.pq = tables_->ComputePq();
-  }
+  obs::CountSpan("rvaq/compute_pq");
+  result.pq = tables_->ComputePq();
 
   // Cascade pre-filter: drop candidate sequences with no surviving clip.
   // Retained intervals keep their FULL extent — the proxy only decides
@@ -105,7 +102,7 @@ TopKResult Rvaq::Run() const {
   // unfiltered run — only set membership is approximate, at confidence δ.
   if (options_.identifier != nullptr &&
       static_cast<int64_t>(candidates.size()) > options_.k) {
-    VAQ_TRACE_SPAN("rvaq/bai_identify");
+    obs::CountSpan("rvaq/bai_identify");
     const IdentifyOutcome outcome = options_.identifier->Identify(
         candidates.intervals(), options_.k, options_.identifier_seed,
         &source);
@@ -154,7 +151,7 @@ TopKResult Rvaq::Run() const {
   const int64_t k = options_.k;
 
   auto finalize = [&](std::vector<SeqState*> ranked) {
-    VAQ_TRACE_SPAN("rvaq/finalize");
+    obs::CountSpan("rvaq/finalize");
     for (SeqState* s : ranked) {
       RankedSequence out;
       out.clips = s->clips;
@@ -218,7 +215,7 @@ TopKResult Rvaq::Run() const {
   TbClipIterator iterator(tables_, &source, &skip);
   TbClipIterator::Entry top;
   TbClipIterator::Entry bottom;
-  VAQ_TRACE_SPAN("rvaq/bound_loop");
+  obs::CountSpan("rvaq/bound_loop");
   while (iterator.Next(&top, &bottom)) {
     ++result.iterations;
     // Fold the new extreme clips into their sequences' partial scores.

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace vaq {
 namespace online {
@@ -63,7 +62,7 @@ int64_t Svaq::InitialActionCriticalValue() const {
 
 OnlineResult Svaq::Run(detect::ObjectDetector* detector,
                        detect::ActionRecognizer* recognizer) const {
-  VAQ_TRACE_SPAN("svaq/run");
+  obs::CountSpan("svaq/run");
   const auto start = std::chrono::steady_clock::now();
   OnlineResult result;
   const detect::ModelStats detector_stats_before =

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "online/predicate_state.h"
 #include "scanstat/critical_value.h"
 #include "scanstat/markov.h"
@@ -119,7 +118,7 @@ Svaqd::Svaqd(QuerySpec query, VideoLayout layout, SvaqdOptions options)
 
 OnlineResult Svaqd::Run(detect::ObjectDetector* detector,
                         detect::ActionRecognizer* recognizer) const {
-  VAQ_TRACE_SPAN("svaqd/run");
+  obs::CountSpan("svaqd/run");
   const auto start = std::chrono::steady_clock::now();
   const SvaqOptions& base = options_.base;
   const detect::ModelStats detector_stats_before =
@@ -196,7 +195,7 @@ OnlineResult Svaqd::Run(detect::ObjectDetector* detector,
   std::vector<double> object_fallback(objects.size(), 0.0);
 
   for (ClipIndex c = 0; c < num_clips; ++c) {
-    VAQ_TRACE_SPAN("svaqd/clip_eval");
+    obs::CountSpan("svaqd/clip_eval");
     std::vector<int64_t> kcrit_objects(objects.size());
     for (size_t i = 0; i < objects.size(); ++i) {
       kcrit_objects[i] = objects[i].kcrit;

@@ -4,7 +4,6 @@
 
 #include "bai/sequence_arms.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/repository.h"
 #include "online/cnf_engine.h"
 #include "video/cnf_query.h"
@@ -81,7 +80,7 @@ StatusOr<QueryResult> ExecuteRankedStatement(
     const offline::ScoringModel& cnf_scoring,
     const obs::QueryContext& ctx,
     const cascade::ProxySet* proxy) {
-  VAQ_TRACE_SPAN("session/ranked_query");
+  obs::CountSpan("session/ranked_query");
   QueryResult result;
   // Cascade planning (WITH RECALL < 1.0). A target of exactly 1.0 skips
   // this block entirely — no plan, no counters, no extra phase node — so
@@ -184,7 +183,7 @@ StatusOr<QueryResult> ExecuteOnlineStatement(
     const QueryStatement& stmt, const synth::Scenario& scenario,
     const online::SvaqdOptions& options, detect::ModelBundle* models,
     const obs::QueryContext& ctx) {
-  VAQ_TRACE_SPAN("session/online_query");
+  obs::CountSpan("session/online_query");
   const obs::QueryContext phase = ctx.Child("online");
   // The resilient model wrappers read the thread-local context, so their
   // per-outcome call counts land on this query's "online" node.

@@ -36,7 +36,6 @@
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/scoring.h"
 #include "query/session.h"
@@ -236,7 +235,6 @@ struct SessionRun {
 SessionRun RunSessionStatement(const std::string& sql,
                                bool with_proxy = false) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   synth::Scenario scenario = tools::BaiDemoScenario(0);
   const detect::ModelBundle models =
       detect::ModelBundle::MaskRcnnI3d(scenario.truth(), 21);
@@ -271,7 +269,6 @@ SessionRun RunSessionStatement(const std::string& sql,
   }
   run.metrics =
       obs::ExportPrometheus(obs::MetricRegistry::Global().TakeSnapshot());
-  obs::Tracer::Global().SetClock(nullptr);
   return run;
 }
 

@@ -29,12 +29,12 @@
 #include "cascade/planner.h"
 #include "cascade/proxy_index.h"
 #include "cascade/store.h"
+#include "ckpt/serializer.h"
 #include "ckpt/store.h"
 #include "detect/model_profile.h"
 #include "detect/models.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "offline/ingest.h"
 #include "offline/scoring.h"
 #include "query/session.h"
@@ -151,6 +151,29 @@ TEST(CascadeStoreTest, SaveLoadRoundtrip) {
       LoadProxyIndex(store, "v0", built.fingerprint);
   EXPECT_FALSE(damaged.ok());
   EXPECT_NE(damaged.status().code(), StatusCode::kNotFound);
+}
+
+// A checksum-valid proxy blob whose one column claims 2^32 - 1 scores:
+// the loader must reject the count before allocating for it.
+TEST(CascadeStoreTest, ColumnLengthBeyondTheRecordIsCorruption) {
+  ckpt::Payload header;
+  header.PutString("v0");
+  header.PutI64(4);    // Clips.
+  header.PutF64(8.0);  // Frames per clip.
+  header.PutF64(1.0);  // Shots per clip.
+  header.PutU64(99);   // Fingerprint.
+  header.PutU32(1);    // Columns.
+  ckpt::Payload column;
+  column.PutString("dog");
+  column.PutU32(0xFFFFFFFFu);  // Scores.
+  column.PutF64(0.5);
+  ckpt::Serializer serializer;
+  serializer.Append(/*tag=*/1, header);
+  serializer.Append(/*tag=*/2, column);
+  ckpt::MemStore store;
+  ASSERT_TRUE(store.Put(ProxyEntryName("v0"), serializer.blob()).ok());
+  EXPECT_EQ(LoadProxyIndex(store, "v0", 99).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(CascadeStoreTest, LoadOrBuildPersistsLoadsAndInvalidates) {
@@ -321,7 +344,6 @@ struct SessionRun {
 
 SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   synth::Scenario scenario = tools::DemoScenario(0);
   const detect::ModelBundle models =
       detect::ModelBundle::MaskRcnnI3d(scenario.truth(), 21);
@@ -350,7 +372,6 @@ SessionRun RunSessionStatement(const std::string& sql, bool with_proxy) {
   }
   run.metrics =
       obs::ExportPrometheus(obs::MetricRegistry::Global().TakeSnapshot());
-  obs::Tracer::Global().SetClock(nullptr);
   return run;
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/metrics_io.h"
 #include "ckpt/recovery.h"
 #include "ckpt/serializer.h"
 #include "ckpt/store.h"
@@ -216,6 +217,27 @@ TEST(BlobTest, SnapshotsRejectTornRecords) {
   ASSERT_TRUE(reader.ok());
   Record record;
   EXPECT_EQ(reader.value().Next(&record).code(), StatusCode::kCorruption);
+}
+
+// A checksum-valid histogram record whose bucket count claims 2^32 - 1
+// bounds: the decoder must reject the count before allocating for it
+// (and before `n + 1` bucket slots can wrap to zero).
+TEST(MetricsIoTest, BucketCountBeyondThePayloadIsCorruption) {
+  Payload forged;
+  forged.PutString("vaq_forged_ms");
+  forged.PutU32(static_cast<uint32_t>(obs::Snapshot::Kind::kHistogram));
+  forged.PutU32(0);            // Labels.
+  forged.PutU32(0xFFFFFFFFu);  // Bounds.
+  forged.PutF64(1.0);
+  Serializer serializer;
+  serializer.Append(/*tag=*/1, forged);
+  auto reader = Deserializer::Open(serializer.blob());
+  ASSERT_TRUE(reader.ok());
+  Record record;
+  ASSERT_TRUE(reader.value().Next(&record).ok());
+  PayloadReader in(record.payload);
+  obs::Snapshot::Entry entry;
+  EXPECT_EQ(DecodeMetricEntry(&in, &entry).code(), StatusCode::kCorruption);
 }
 
 TEST(NamesTest, SequenceNamesSortAndParse) {

@@ -10,7 +10,6 @@
 #include "fault/fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "online/svaqd.h"
 #include "synth/scenario.h"
 
@@ -134,8 +133,6 @@ TEST(ObsIntegrationTest, RegistryMirrorsEngineAndModelAccounting) {
 }
 
 TEST(ObsIntegrationTest, SeededRunsExportByteIdenticalSnapshots) {
-  // Pin the tracer so span histograms observe constants, not wall time.
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   RunSeeded();
   const obs::Snapshot s1 = obs::MetricRegistry::Global().TakeSnapshot();
   const std::string prom1 = obs::ExportPrometheus(s1);
@@ -145,7 +142,6 @@ TEST(ObsIntegrationTest, SeededRunsExportByteIdenticalSnapshots) {
   const obs::Snapshot s2 = obs::MetricRegistry::Global().TakeSnapshot();
   EXPECT_EQ(prom1, obs::ExportPrometheus(s2));
   EXPECT_EQ(json1, obs::ExportJson(s2));
-  obs::Tracer::Global().SetClock(nullptr);
 
   EXPECT_EQ(obs::JsonLintError(json1), "") << json1;
   EXPECT_NE(prom1.find("vaq_detector_inferences_total"), std::string::npos);

@@ -1,6 +1,6 @@
 // MetricRegistry semantics: labeled families, concurrent counter updates,
-// histogram bucket boundaries, and the two exporters (Prometheus text and
-// JSON, including the built-in JSON linter).
+// histogram bucket boundaries, the two exporters (Prometheus text and
+// JSON, including the built-in JSON linter) and the CountSpan counters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -150,6 +150,31 @@ TEST(ExportTest, SnapshotOrderIsDeterministic) {
   EXPECT_EQ(snapshot.entries[0].labels[0].second, "1");
   EXPECT_EQ(snapshot.entries[1].labels[0].second, "2");
   EXPECT_EQ(snapshot.entries[2].name, "z_metric");
+}
+
+// Spans are plain counters: every CountSpan call, nested or repeated,
+// adds exactly one to its `vaq_span_total` series, and no other span
+// family (a wall-time histogram, say) is ever registered beside it.
+TEST(CountSpanTest, EveryEntryAddsOneAndNoTimeFamilyAppears) {
+  MetricRegistry& registry = MetricRegistry::Global();
+  Counter* outer =
+      registry.GetCounter("vaq_span_total", {{"span", "count_test/outer"}});
+  Counter* inner =
+      registry.GetCounter("vaq_span_total", {{"span", "count_test/inner"}});
+  const int64_t outer_before = outer->value();
+  const int64_t inner_before = inner->value();
+  {
+    CountSpan("count_test/outer");
+    for (int i = 0; i < 3; ++i) CountSpan("count_test/inner");
+  }
+  CountSpan("count_test/outer");
+  EXPECT_EQ(outer->value(), outer_before + 2);
+  EXPECT_EQ(inner->value(), inner_before + 3);
+  for (const Snapshot::Entry& entry : registry.TakeSnapshot().entries) {
+    if (entry.name.rfind("vaq_span", 0) == 0) {
+      EXPECT_EQ(entry.name, "vaq_span_total");
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Per-query trace plumbing (obs/query_trace.h): tree shape and phase
-// folding, the rendered profile format, Chrome trace export against the
-// JSON linter, nearest-rank percentiles, the LatencyRecorder's gauge
-// mirror, the promlint-style exporter self-check and the rate-limited
-// log suppression counter.
+// folding, cross-thread parenting through QueryContext, the rendered
+// profile format, Chrome trace export against the JSON linter,
+// nearest-rank percentiles, the LatencyRecorder's gauge mirror, the
+// promlint-style exporter self-check and the rate-limited log
+// suppression counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +116,61 @@ TEST(QueryTraceTest, DisjointSubtreesRenderIdenticallyAcrossThreadCounts) {
   const std::string inline_profile = run(0);
   EXPECT_EQ(inline_profile, run(8));
   EXPECT_NE(inline_profile.find("shard3  self=6.000ms"), std::string::npos);
+}
+
+// Cross-thread span parenting, the contract the serve worker pool is
+// built on: the submitting thread mints the parent span (the query's
+// root node), workers install per-shard child contexts with
+// ScopedQueryContext and grow grandchildren under them. The resulting
+// tree parents every worker-side node under the submitter's root, and
+// the rendered profile is byte-identical whether the children run
+// inline (threads=0) or on an 8-thread pool.
+TEST(QueryContextParentingTest, ParentInSubmitterChildrenInWorkers) {
+  constexpr int kChildren = 8;
+  const auto run = [](int threads) {
+    auto trace = std::make_unique<QueryTrace>("q1");
+    const QueryContext root{trace.get(), 0};
+    // Minted on the submitting thread, in deterministic order.
+    std::vector<QueryContext> children;
+    for (int c = 0; c < kChildren; ++c) {
+      children.push_back(root.Child("worker" + std::to_string(c)));
+    }
+    const auto work = [&children](int c) {
+      ScopedQueryContext scoped(children[c]);
+      CurrentQueryContext().AddMs(0.25 * (c + 1));
+      CurrentQueryContext().Child("model").AddStat("calls", c + 1);
+    };
+    if (threads == 0) {
+      for (int c = 0; c < kChildren; ++c) work(c);
+    } else {
+      std::vector<std::thread> pool;
+      for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&work, t, threads] {
+          for (int c = t; c < kChildren; c += threads) work(c);
+        });
+      }
+      for (std::thread& t : pool) t.join();
+    }
+    return trace;
+  };
+
+  const std::unique_ptr<QueryTrace> inline_trace = run(0);
+  const std::unique_ptr<QueryTrace> pooled_trace = run(8);
+  EXPECT_EQ(inline_trace->RenderProfile(), pooled_trace->RenderProfile());
+
+  // Every worker-side node is parented under the submitter's root.
+  const std::vector<QueryTrace::Node> nodes = pooled_trace->snapshot();
+  ASSERT_EQ(nodes.size(), 1u + 2u * kChildren);
+  ASSERT_EQ(nodes[0].children.size(), static_cast<size_t>(kChildren));
+  for (int c = 0; c < kChildren; ++c) {
+    const QueryTrace::Node& child = nodes[nodes[0].children[c]];
+    EXPECT_EQ(child.name, "worker" + std::to_string(c));
+    EXPECT_EQ(child.parent, 0);
+    ASSERT_EQ(child.children.size(), 1u);
+    const QueryTrace::Node& grandchild = nodes[child.children[0]];
+    EXPECT_EQ(grandchild.name, "model");
+    EXPECT_EQ(grandchild.stats.at("calls"), c + 1);
+  }
 }
 
 TEST(ChromeTraceTest, ExportPassesJsonLintAndLaysOutTheTimeline) {

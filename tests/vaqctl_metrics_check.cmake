@@ -1,6 +1,7 @@
 # Tier-1 check for `vaqctl metrics`: the seeded demo run must succeed
 # (its built-in JSON selfcheck passes), emit the key metric families, and
-# be byte-identical across two runs with the same seed.
+# be byte-identical across two runs with the same seed. The registry holds
+# logical quantities only, so no wall-time family may appear in it.
 #
 # Invoked as:
 #   cmake -DVAQCTL=<path-to-vaqctl> -P vaqctl_metrics_check.cmake
@@ -49,4 +50,14 @@ foreach(family
   endif()
 endforeach()
 
-message(STATUS "vaqctl metrics: deterministic, selfchecked, all families present")
+# Wall time stays out of the registry: spans are counted, never timed.
+foreach(family
+    vaq_span_ms)
+  string(FIND "${run1}" "${family}" found)
+  if(NOT found EQUAL -1)
+    message(FATAL_ERROR
+      "vaqctl metrics output has wall-time family '${family}'")
+  endif()
+endforeach()
+
+message(STATUS "vaqctl metrics: deterministic, selfchecked, all families present, no wall-time family")

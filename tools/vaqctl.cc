@@ -23,9 +23,9 @@
 //       Run a seeded end-to-end pipeline (faulty SVAQD stream + ingest +
 //       RVAQ top-K) and dump the resulting metric-registry snapshot in
 //       Prometheus text and/or JSON form. The output is a pure function
-//       of (--scenario, --seed): the tracer clock is pinned and only
-//       logical quantities are recorded, so two runs with the same flags
-//       emit byte-identical snapshots. Both export formats are always
+//       of (--scenario, --seed): the registry holds only logical
+//       quantities (event counts, simulated milliseconds), so two runs
+//       with the same flags emit byte-identical snapshots. Both export formats are always
 //       self-checked with the built-in linters (JSON shape + promlint
 //       rules); lint failures exit 1. --selfcheck runs the pipeline and
 //       the linters but prints only the verdict — the CI entry point.
@@ -376,10 +376,9 @@ int CmdMetrics(const Args& args) {
     return 2;
   }
 
-  // Determinism: scope the snapshot to this run and pin the tracer clock,
-  // so span histograms observe zero-duration spans instead of wall time.
+  // Determinism: scope the snapshot to this run. Every family records
+  // logical quantities only, so no clock needs pinning.
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   synth::Scenario scenario = [&] {
     const std::string spec = args.Get("scenario");
@@ -424,8 +423,6 @@ int CmdMetrics(const Args& args) {
   rvaq_options.k = 3;
   const offline::TopKResult topk =
       offline::Rvaq(&*tables_or, &scoring, rvaq_options).Run();
-
-  obs::Tracer::Global().SetClock(nullptr);
 
   // Export. Both forms are always linted, even when only one is
   // printed: a malformed snapshot must fail loudly.
@@ -519,7 +516,6 @@ StatusOr<tools::StandingDemoSpec> ReadServeConfig(const ckpt::Store& store) {
 // tail shared by a completed durable serve and a recovery.
 int FinishDurableSession(serve::Server* server, const std::string& format) {
   const std::vector<serve::ServedQuery> results = server->FinishStanding();
-  obs::Tracer::Global().SetClock(nullptr);
   if (format == "text" || format == "both") {
     for (const serve::ServedQuery& q : results) {
       std::printf("%s\n", serve::DescribeServedQuery(q).c_str());
@@ -548,7 +544,6 @@ int CmdServeDurable(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   tools::StandingDemoSpec spec;
   spec.num_streams = std::atoi(args.Get("streams", "2").c_str());
@@ -595,7 +590,6 @@ int CmdServeDurable(const Args& args) {
   if (target < total) {
     // Staged crash: abandon the session mid-stream. Everything durable is
     // already in the store; `vaqctl recover` picks it up from here.
-    obs::Tracer::Global().SetClock(nullptr);
     std::printf("crashed after %lld of %lld clip advances; resume with:\n"
                 "  vaqctl recover --checkpoint-dir %s\n",
                 static_cast<long long>(target),
@@ -618,7 +612,6 @@ int CmdRecover(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   ckpt::DirStore store(dir);
   auto config = ReadServeConfig(store);
@@ -686,9 +679,8 @@ int CmdServe(const Args& args) {
   }
 
   // Same determinism regime as `vaqctl metrics`: scope the registry to
-  // this run and pin the tracer clock.
+  // this run.
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   const fault::FaultPlan plan(tools::DemoFaultSpec(), seed);
   serve::ServeOptions options;
@@ -712,7 +704,6 @@ int CmdServe(const Args& args) {
     if (!server.Submit(sql).ok()) ++rejected;
   }
   const std::vector<serve::ServedQuery> results = server.Drain();
-  obs::Tracer::Global().SetClock(nullptr);
 
   if (format == "text" || format == "both") {
     std::printf("submitted %d queries (%d rejected) over %d streams + "
@@ -760,7 +751,6 @@ int CmdTrace(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
 
   const fault::FaultPlan plan(tools::DemoFaultSpec(), seed);
   serve::ServeOptions options;
@@ -782,7 +772,6 @@ int CmdTrace(const Args& args) {
     (void)server.Submit(sql);
   }
   std::vector<serve::ServedQuery> results = server.Drain();
-  obs::Tracer::Global().SetClock(nullptr);
 
   std::sort(results.begin(), results.end(),
             [](const serve::ServedQuery& a, const serve::ServedQuery& b) {
@@ -851,7 +840,6 @@ int CmdCluster(const Args& args) {
   }
 
   obs::MetricRegistry::Global().Reset();
-  obs::Tracer::Global().SetClock([] { return 0.0; });
   offline::PaperScoring scoring;
   offline::Repository repository;
   for (int i = 0; i < videos; ++i) {
@@ -885,7 +873,6 @@ int CmdCluster(const Args& args) {
   options.kill_at_ms = kill_at;
   cluster::Coordinator coordinator(&repository, options);
   auto clustered = coordinator.TopK(action, objects, scoring, rvaq);
-  obs::Tracer::Global().SetClock(nullptr);
   if (!clustered.ok()) {
     std::fprintf(stderr, "%s\n", clustered.status().ToString().c_str());
     return 1;
