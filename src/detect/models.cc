@@ -45,6 +45,13 @@ double DrawScore(Rng& rng, const ModelProfile& profile, bool positive,
   return thr + (1.0 - thr) * rng.Beta(profile.fp_alpha, profile.fp_beta);
 }
 
+// Every lookup indexes the per-unit inference flags (and may fill a memo
+// slot), so a unit outside the video is a caller bug, not a score.
+void CheckUnit(const char* what, int64_t unit, size_t num_units) {
+  VAQ_CHECK(unit >= 0 && static_cast<size_t>(unit) < num_units)
+      << what << " " << unit << " outside [0, " << num_units << ")";
+}
+
 // One inference counter per (kind, model) family member, resolved once
 // per model instance; the per-frame hot path is a single relaxed add.
 obs::Counter* InferenceCounter(const char* kind, const ModelProfile& profile) {
@@ -69,6 +76,7 @@ ObjectDetector::ObjectDetector(const synth::GroundTruth* truth,
 }
 
 double ObjectDetector::MaxScore(ObjectTypeId type, FrameIndex frame) const {
+  CheckUnit("frame", frame, frame_seen_.size());
   ++stats_.type_queries;
   if (!frame_seen_[static_cast<size_t>(frame)]) {
     // A real deployment runs the network once per frame and caches its
@@ -78,6 +86,8 @@ double ObjectDetector::MaxScore(ObjectTypeId type, FrameIndex frame) const {
     stats_.simulated_ms += profile_.inference_ms;
     metric_inferences_->Increment();
   }
+  double score;
+  if (memo_.Lookup(type, frame, &score)) return score;
   const bool present = truth_->ObjectFrames(type).Contains(frame);
   bool positive;
   if (present) {
@@ -88,7 +98,9 @@ double ObjectDetector::MaxScore(ObjectTypeId type, FrameIndex frame) const {
                               profile_.fp_block, profile_.fpr);
   }
   Rng rng = MakeRng(seed_, kScoreSalt, type, frame);
-  return DrawScore(rng, profile_, positive, present);
+  score = DrawScore(rng, profile_, positive, present);
+  memo_.Insert(type, frame, score);
+  return score;
 }
 
 // ---------------------------------------------------------------------------
@@ -104,6 +116,7 @@ ActionRecognizer::ActionRecognizer(const synth::GroundTruth* truth,
 }
 
 double ActionRecognizer::Score(ActionTypeId type, ShotIndex shot) const {
+  CheckUnit("shot", shot, shot_seen_.size());
   ++stats_.type_queries;
   if (!shot_seen_[static_cast<size_t>(shot)]) {
     shot_seen_[static_cast<size_t>(shot)] = true;
@@ -111,6 +124,8 @@ double ActionRecognizer::Score(ActionTypeId type, ShotIndex shot) const {
     stats_.simulated_ms += profile_.inference_ms;
     metric_inferences_->Increment();
   }
+  double score;
+  if (memo_.Lookup(type, shot, &score)) return score;
   // A shot "contains" the action when at least half of its frames lie in a
   // truth interval — the recognizer's training-time labelling convention.
   const Interval range = truth_->layout().ShotFrameRange(shot);
@@ -131,7 +146,9 @@ double ActionRecognizer::Score(ActionTypeId type, ShotIndex shot) const {
                               profile_.fp_block, profile_.fpr);
   }
   Rng rng = MakeRng(seed_, kScoreSalt, type, shot);
-  return DrawScore(rng, profile_, positive, present);
+  score = DrawScore(rng, profile_, positive, present);
+  memo_.Insert(type, shot, score);
+  return score;
 }
 
 // ---------------------------------------------------------------------------
@@ -151,6 +168,7 @@ void ObjectTracker::AppendDetectionsAt(
     ObjectTypeId type, FrameIndex frame,
     const std::vector<const synth::TruthInstance*>& active,
     std::vector<std::pair<FrameIndex, TrackDetection>>* out) const {
+  CheckUnit("frame", frame, frame_seen_.size());
   ++stats_.type_queries;
   if (!frame_seen_[static_cast<size_t>(frame)]) {
     frame_seen_[static_cast<size_t>(frame)] = true;

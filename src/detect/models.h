@@ -11,9 +11,17 @@
 // All models count their invocations: the number of distinct inference
 // calls (frames for the detector/tracker, shots for the recognizer) and the
 // simulated inference cost, reproducing the paper's §5.2 runtime analysis.
+//
+// Because scores are pure, the detector and the recognizer also memoize
+// them (ScoreMemo): a repeated (type, unit) lookup returns the stored
+// double instead of redrawing it, the way a deployment reuses the network
+// output of a frame it has already run. The memo is a pure cache: every
+// lookup is still counted, it is never checkpointed, and a hit is
+// bit-identical to a fresh draw.
 #ifndef VAQ_DETECT_MODELS_H_
 #define VAQ_DETECT_MODELS_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,6 +112,55 @@ struct ModelStats {
   }
 };
 
+// Fixed-size memo of drawn scores keyed by (type, unit), shared by the
+// detector and the recognizer. Set-associative on the unit: consecutive
+// units map to distinct sets, and each set keeps the last kWays pairs
+// inserted into it, so up to kWays types of every unit in a window of
+// kSets consecutive units (one clip and then some) stay resident together.
+// Follows the owning model's one-thread-at-a-time contract.
+class ScoreMemo {
+ public:
+  static constexpr int64_t kSets = 128;
+  static constexpr int64_t kWays = 4;
+
+  // True (and `*score` set) when (type, unit) is resident.
+  bool Lookup(int32_t type, int64_t unit, double* score) const {
+    const Slot* set = &slots_[SetOf(unit) * kWays];
+    for (int64_t way = 0; way < kWays; ++way) {
+      if (set[way].unit == unit && set[way].type == type) {
+        *score = set[way].score;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Stores a score for a non-negative unit, evicting the oldest entry of
+  // its set.
+  void Insert(int32_t type, int64_t unit, double score) {
+    const size_t set = SetOf(unit);
+    uint8_t& next = next_way_[set];
+    slots_[set * kWays + next] = Slot{unit, type, score};
+    next = static_cast<uint8_t>((next + 1) % kWays);
+  }
+
+ private:
+  struct Slot {
+    int64_t unit = -1;  // -1 marks an empty slot; units are >= 0.
+    int32_t type = 0;
+    double score = 0.0;
+  };
+  static size_t SetOf(int64_t unit) {
+    return static_cast<size_t>(unit) & static_cast<size_t>(kSets - 1);
+  }
+
+  std::array<Slot, kSets * kWays> slots_{};
+  std::array<uint8_t, kSets> next_way_{};
+};
+static_assert((ScoreMemo::kSets & (ScoreMemo::kSets - 1)) == 0,
+              "set index is a mask");
+static_assert(sizeof(ScoreMemo) <= 16 * 1024, "memo stays small");
+
 // Simulated object detector. Reports max S_o^(v): the maximum detection
 // score of an object type on a frame (§2).
 class ObjectDetector {
@@ -113,7 +170,8 @@ class ObjectDetector {
                  uint64_t seed);
 
   // Maximum detection score of `type` on `frame`; compare against
-  // profile().threshold for the prediction indicator 1_o^(v).
+  // profile().threshold for the prediction indicator 1_o^(v). `frame`
+  // must lie in [0, num_frames).
   double MaxScore(ObjectTypeId type, FrameIndex frame) const;
 
   // The indicator 1_o^(v) = 1[maxScore >= T_obj].
@@ -137,6 +195,7 @@ class ObjectDetector {
   uint64_t seed_;
   mutable ModelStats stats_;
   mutable std::vector<bool> frame_seen_;  // Per-frame inference cache.
+  mutable ScoreMemo memo_;                // (type, frame) score cache.
   // Registry mirror of `inferences`, labeled by model (resolved once).
   obs::Counter* metric_inferences_ = nullptr;
 };
@@ -147,7 +206,8 @@ class ActionRecognizer {
   ActionRecognizer(const synth::GroundTruth* truth, ModelProfile profile,
                    uint64_t seed);
 
-  // Score S_a^(s) of action `type` on shot `shot`.
+  // Score S_a^(s) of action `type` on shot `shot`, which must lie in
+  // [0, NumShots).
   double Score(ActionTypeId type, ShotIndex shot) const;
 
   bool IsPositive(ActionTypeId type, ShotIndex shot) const {
@@ -168,6 +228,7 @@ class ActionRecognizer {
   uint64_t seed_;
   mutable ModelStats stats_;
   mutable std::vector<bool> shot_seen_;  // Per-shot inference cache.
+  mutable ScoreMemo memo_;               // (type, shot) score cache.
   obs::Counter* metric_inferences_ = nullptr;
 };
 

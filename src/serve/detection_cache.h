@@ -5,11 +5,15 @@
 // "running AND car" over the identical camera feed. Running each query
 // with a private detect::ModelBundle would re-run the detector over every
 // frame once per query. `SharedDetectionCache` instead keeps one bundle
-// per (source, model stack): the models' internal per-unit memo tables
-// (a detector never re-infers a frame it has already seen, a recognizer
-// never re-infers a shot) then deduplicate inference *across queries*, so
-// the second query over a stream pays only score lookups, not fresh
-// network invocations.
+// per (source, model stack), and the models' own caches then deduplicate
+// work *across queries*. The per-unit inference flags make a frame (or
+// shot) cost one priced inference however many queries read it; the
+// detector's and recognizer's score memo (detect::ScoreMemo) returns the
+// stored score of a (type, unit) already drawn instead of redrawing it.
+// The memo is a pure cache: scores are a pure function of (seed, type,
+// unit), so a hit is bit-identical to a fresh draw, every lookup is still
+// counted, and nothing of it is checkpointed. The second query over a
+// stream therefore pays only memo lookups, not fresh network invocations.
 //
 // Concurrency contract: the cache's own map is mutex-guarded, so bundles
 // may be acquired from any worker thread. The *bundles* themselves are

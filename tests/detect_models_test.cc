@@ -1,7 +1,10 @@
 #include "detect/models.h"
 
 #include <algorithm>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 #include "synth/generator.h"
 
@@ -27,6 +30,42 @@ synth::GroundTruth MakeTruth(uint64_t seed = 3) {
   spec.objects.push_back(obj);
   static Vocabulary vocab;  // Shared across calls; ids stay stable.
   return synth::Generate(spec, vocab);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// (type, unit) lookups in orders chosen to stress the score memo: repeats,
+// interleaved types, pairs sharing a set, evicting a set and returning to
+// its first entry, and a far jump and back. `num_units` is the video's
+// frame or shot count.
+std::vector<std::pair<int32_t, int64_t>> AdversarialOrder(int64_t num_units) {
+  constexpr int64_t kSets = ScoreMemo::kSets;
+  constexpr int64_t kWays = ScoreMemo::kWays;
+  std::vector<std::pair<int32_t, int64_t>> order;
+  for (int rep = 0; rep < 3; ++rep) order.emplace_back(0, 40);
+  for (int64_t u = 100; u < 200; ++u) {
+    order.emplace_back(0, u);
+    order.emplace_back(1, u);
+  }
+  for (int64_t u = 100; u < 200; ++u) order.emplace_back(1, u);
+  // Same set, different unit and type.
+  order.emplace_back(0, 7);
+  order.emplace_back(1, 7 + kSets);
+  order.emplace_back(0, 7 + kSets);
+  order.emplace_back(1, 7);
+  // One more pair than the set holds, then back to the evicted first one.
+  for (int64_t i = 0; i <= kWays; ++i) order.emplace_back(0, 9 + i * kSets);
+  order.emplace_back(0, 9);
+  order.emplace_back(0, 9 + kWays * kSets);
+  // Far jump and return.
+  order.emplace_back(0, 150);
+  order.emplace_back(1, num_units - 1);
+  order.emplace_back(0, num_units - 1 - kSets * 3);
+  order.emplace_back(0, 150);
+  order.emplace_back(1, 150);
+  return order;
 }
 
 TEST(ObjectDetectorTest, PureFunctionOfCoordinates) {
@@ -97,6 +136,38 @@ TEST(ObjectDetectorTest, CountsInferencesPerFrameNotPerType) {
   EXPECT_EQ(det.stats().type_queries, 3);
   EXPECT_DOUBLE_EQ(det.stats().simulated_ms,
                    2 * det.profile().inference_ms);
+  // Memo hits are lookups like any other: each counts a type query, and
+  // a frame still costs exactly one inference whatever its types.
+  for (int rep = 0; rep < 4; ++rep) {
+    det.MaxScore(0, 5);
+    det.MaxScore(1, 5);
+    det.MaxScore(0, 6);
+  }
+  EXPECT_EQ(det.stats().inferences, 2);
+  EXPECT_EQ(det.stats().type_queries, 3 + 4 * 3);
+  EXPECT_DOUBLE_EQ(det.stats().simulated_ms,
+                   2 * det.profile().inference_ms);
+  det.MaxScore(1, 7);
+  EXPECT_EQ(det.stats().inferences, 3);
+}
+
+TEST(ObjectDetectorTest, MemoHitsAreBitIdenticalToFreshDraws) {
+  const synth::GroundTruth truth = MakeTruth();
+  const ModelProfile profile = ModelProfile::MaskRcnn();
+  ObjectDetector det(&truth, profile, 21);
+  const int64_t frames = truth.layout().num_frames();
+  const auto order = AdversarialOrder(frames);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [type, frame] : order) {
+      const double fresh =
+          ObjectDetector(&truth, profile, 21).MaxScore(type, frame);
+      EXPECT_TRUE(SameBits(det.MaxScore(type, frame), fresh))
+          << "type " << type << " frame " << frame << " pass " << pass;
+    }
+    // The memo survives a stats reset, and what it holds stays exact.
+    if (pass == 0) det.ResetStats();
+  }
+  EXPECT_EQ(det.stats().type_queries, static_cast<int64_t>(order.size()));
 }
 
 TEST(ActionRecognizerTest, IdealMatchesShotTruth) {
@@ -131,6 +202,59 @@ TEST(ActionRecognizerTest, EmpiricalRatesMatchProfile) {
   ASSERT_GT(pos, 100);
   EXPECT_NEAR(static_cast<double>(tp) / pos, profile.tpr, 0.08);
   EXPECT_LT(static_cast<double>(fp) / std::max<int64_t>(neg, 1), 0.02);
+}
+
+TEST(ActionRecognizerTest, MemoHitsAreBitIdenticalToFreshDraws) {
+  const synth::GroundTruth truth = MakeTruth();
+  const ModelProfile profile = ModelProfile::I3d();
+  ActionRecognizer rec(&truth, profile, 23);
+  const int64_t shots = truth.layout().NumShots();
+  const auto order = AdversarialOrder(shots);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [type, shot] : order) {
+      const double fresh =
+          ActionRecognizer(&truth, profile, 23).Score(type, shot);
+      EXPECT_TRUE(SameBits(rec.Score(type, shot), fresh))
+          << "type " << type << " shot " << shot << " pass " << pass;
+    }
+    if (pass == 0) rec.ResetStats();
+  }
+  EXPECT_EQ(rec.stats().type_queries, static_cast<int64_t>(order.size()));
+}
+
+TEST(ActionRecognizerTest, CountsInferencesPerShotNotPerType) {
+  const synth::GroundTruth truth = MakeTruth();
+  const ActionRecognizer rec(&truth, ModelProfile::I3d(), 7);
+  for (int rep = 0; rep < 3; ++rep) {
+    rec.Score(0, 4);
+    rec.Score(1, 4);
+  }
+  EXPECT_EQ(rec.stats().inferences, 1);
+  EXPECT_EQ(rec.stats().type_queries, 6);
+}
+
+TEST(ObjectDetectorDeathTest, RejectsFramesOutsideTheVideo) {
+  const synth::GroundTruth truth = MakeTruth();
+  const ObjectDetector det(&truth, ModelProfile::MaskRcnn(), 7);
+  const FrameIndex frames = truth.layout().num_frames();
+  EXPECT_DEATH(det.MaxScore(0, -1), "frame -1 outside");
+  EXPECT_DEATH(det.MaxScore(0, frames), "outside \\[0, ");
+}
+
+TEST(ActionRecognizerDeathTest, RejectsShotsOutsideTheVideo) {
+  const synth::GroundTruth truth = MakeTruth();
+  const ActionRecognizer rec(&truth, ModelProfile::I3d(), 7);
+  const ShotIndex shots = truth.layout().NumShots();
+  EXPECT_DEATH(rec.Score(0, -1), "shot -1 outside");
+  EXPECT_DEATH(rec.Score(0, shots), "outside \\[0, ");
+}
+
+TEST(TrackerDeathTest, RejectsFramesOutsideTheVideo) {
+  const synth::GroundTruth truth = MakeTruth();
+  const ObjectTracker tracker(&truth, ModelProfile::CenterTrack(), 7);
+  const FrameIndex frames = truth.layout().num_frames();
+  EXPECT_DEATH(tracker.Detect(0, -1), "frame -1 outside");
+  EXPECT_DEATH(tracker.Detect(0, frames), "outside \\[0, ");
 }
 
 TEST(TrackerTest, DetectionsReferenceRealInstancesMostly) {
