@@ -17,77 +17,31 @@ void Count(const char* name) {
   obs::MetricRegistry::Global().GetCounter(name)->Increment(1);
 }
 
-std::string EncodeProxyIndex(const ProxyVideoIndex& index) {
-  ckpt::Serializer serializer;
-  ckpt::Payload header;
-  header.PutString(index.video);
-  header.PutI64(index.num_clips);
-  header.PutF64(index.frames_per_clip);
-  header.PutF64(index.shots_per_clip);
-  header.PutU64(index.fingerprint);
-  header.PutU32(static_cast<uint32_t>(index.columns.size()));
-  serializer.Append(kTagHeader, header);
-  for (const ProxyColumn& column : index.columns) {
-    ckpt::Payload payload;
-    payload.PutString(column.concept_name);
-    payload.PutU32(static_cast<uint32_t>(column.scores.size()));
-    for (const double score : column.scores) payload.PutF64(score);
-    payload.PutU32(static_cast<uint32_t>(column.heldout_positive.size()));
-    for (const double score : column.heldout_positive) payload.PutF64(score);
-    serializer.Append(kTagColumn, payload);
+// The proxy blob's body: a header record, then one record per column.
+void PersistProxyIndex(ckpt::Archive& ar, ProxyVideoIndex& index) {
+  uint32_t n_columns = static_cast<uint32_t>(index.columns.size());
+  const bool header = ar.Record(kTagHeader, [&] {
+    ar.String(index.video);
+    ar.I64(index.num_clips);
+    ar.F64(index.frames_per_clip);
+    ar.F64(index.shots_per_clip);
+    ar.U64(index.fingerprint);
+    ar.U32(n_columns);
+  });
+  for (uint32_t c = 0; header && c < n_columns; ++c) {
+    if (ar.loading()) index.columns.emplace_back();
+    ProxyColumn& column = index.columns[c];
+    const bool found = ar.Record(kTagColumn, [&] {
+      ar.String(column.concept_name);
+      ar.Vector(column.scores, 8, [&](double& score) { ar.F64(score); });
+      ar.Vector(column.heldout_positive, 8,
+                [&](double& score) { ar.F64(score); });
+    });
+    if (!found) break;
   }
-  return serializer.blob();
-}
-
-StatusOr<ProxyVideoIndex> DecodeProxyIndex(const std::string& blob) {
-  VAQ_ASSIGN_OR_RETURN(ckpt::Deserializer reader,
-                       ckpt::Deserializer::Open(blob));
-  ProxyVideoIndex index;
-  bool saw_header = false;
-  uint32_t expected_columns = 0;
-  ckpt::Record record;
-  for (;;) {
-    const Status status = reader.Next(&record);
-    if (status.code() == StatusCode::kOutOfRange) break;
-    VAQ_RETURN_IF_ERROR(status);
-    ckpt::PayloadReader payload(record.payload);
-    if (record.tag == kTagHeader) {
-      VAQ_RETURN_IF_ERROR(payload.GetString(&index.video));
-      VAQ_RETURN_IF_ERROR(payload.GetI64(&index.num_clips));
-      VAQ_RETURN_IF_ERROR(payload.GetF64(&index.frames_per_clip));
-      VAQ_RETURN_IF_ERROR(payload.GetF64(&index.shots_per_clip));
-      VAQ_RETURN_IF_ERROR(payload.GetU64(&index.fingerprint));
-      VAQ_RETURN_IF_ERROR(payload.GetU32(&expected_columns));
-      saw_header = true;
-    } else if (record.tag == kTagColumn) {
-      ProxyColumn column;
-      VAQ_RETURN_IF_ERROR(payload.GetString(&column.concept_name));
-      uint32_t n = 0;
-      VAQ_RETURN_IF_ERROR(payload.GetU32(&n));
-      // Trust a count only once its 8-byte scores are present.
-      if (n > payload.remaining() / 8) {
-        return Status::Corruption("proxy column length overruns its record");
-      }
-      column.scores.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        VAQ_RETURN_IF_ERROR(payload.GetF64(&column.scores[i]));
-      }
-      VAQ_RETURN_IF_ERROR(payload.GetU32(&n));
-      if (n > payload.remaining() / 8) {
-        return Status::Corruption("proxy column length overruns its record");
-      }
-      column.heldout_positive.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        VAQ_RETURN_IF_ERROR(payload.GetF64(&column.heldout_positive[i]));
-      }
-      index.columns.push_back(std::move(column));
-    }
-    // Unknown tags: skipped (checksum already verified by the reader).
+  if (index.columns.size() != n_columns || !header) {
+    ar.Fail(Status::Corruption("proxy blob missing header or columns"));
   }
-  if (!saw_header || index.columns.size() != expected_columns) {
-    return Status::Corruption("proxy blob missing header or columns");
-  }
-  return index;
 }
 
 }  // namespace
@@ -101,7 +55,13 @@ Status SaveProxyIndex(ckpt::Store* store, const ProxyVideoIndex& index) {
   if (!ckpt::ValidEntryName(entry)) {
     return Status::InvalidArgument("invalid proxy entry name: " + entry);
   }
-  VAQ_RETURN_IF_ERROR(store->Put(entry, EncodeProxyIndex(index)));
+  // Persist takes its fields by mutable reference in both directions; a
+  // copy (one per video, off the query path) keeps `index` untouched.
+  ProxyVideoIndex fields = index;
+  VAQ_RETURN_IF_ERROR(store->Put(
+      entry, ckpt::SaveBlob([&](ckpt::Archive& ar) {
+        PersistProxyIndex(ar, fields);
+      })));
   Count("vaq_ckpt_proxy_stores_total");
   return Status::OK();
 }
@@ -111,7 +71,9 @@ StatusOr<ProxyVideoIndex> LoadProxyIndex(const ckpt::Store& store,
                                          uint64_t expected_fingerprint) {
   VAQ_ASSIGN_OR_RETURN(const std::string blob,
                        store.Get(ProxyEntryName(video)));
-  VAQ_ASSIGN_OR_RETURN(ProxyVideoIndex index, DecodeProxyIndex(blob));
+  ProxyVideoIndex index;
+  VAQ_RETURN_IF_ERROR(ckpt::LoadBlob(
+      blob, [&](ckpt::Archive& ar) { PersistProxyIndex(ar, index); }));
   if (index.fingerprint != expected_fingerprint) {
     return Status::FailedPrecondition(
         "proxy index for '" + video + "' is stale (fingerprint mismatch)");

@@ -63,6 +63,32 @@ std::string NonCkptMetrics() {
       {"vaq_ckpt_", "vaq_log_"}));
 }
 
+// Names what diverged: the first line where two line-oriented outputs
+// differ, reference first (deterministic, so a replay prints the same
+// text). Empty when they are equal.
+std::string FirstDifference(const std::string& reference,
+                            const std::string& chaos) {
+  std::istringstream ref_in(reference);
+  std::istringstream chaos_in(chaos);
+  std::string ref_line, chaos_line;
+  for (int64_t line = 1;; ++line) {
+    const bool ref_more = static_cast<bool>(std::getline(ref_in, ref_line));
+    const bool chaos_more =
+        static_cast<bool>(std::getline(chaos_in, chaos_line));
+    if (!ref_more && !chaos_more) return "";
+    if (!ref_more) ref_line = "<end of output>";
+    if (!chaos_more) chaos_line = "<end of output>";
+    if (ref_more && chaos_more && ref_line == chaos_line) continue;
+    return std::string("; first difference at line ")
+        .append(std::to_string(line))
+        .append(": reference `")
+        .append(ref_line)
+        .append("` vs chaos `")
+        .append(chaos_line)
+        .append("`");
+  }
+}
+
 // One run's comparable output.
 struct RunOut {
   std::string described;
@@ -378,13 +404,15 @@ Status RunStanding(const TrialScenario& s, const Schedule& schedule,
   if (!r->violations.empty()) return Status::OK();
   if (chaos.described != ref.described) {
     r->violations.push_back(
-        "standing: described results diverged from the fault-free "
-        "reference");
+        std::string("standing: described results diverged from the "
+                    "fault-free reference")
+            .append(FirstDifference(ref.described, chaos.described)));
   }
   if (chaos.metrics != ref.metrics) {
     r->violations.push_back(
-        "standing: logical vaq_* metrics diverged from the fault-free "
-        "reference");
+        std::string("standing: logical vaq_* metrics diverged from the "
+                    "fault-free reference")
+            .append(FirstDifference(ref.metrics, chaos.metrics)));
   }
   return Status::OK();
 }

@@ -23,6 +23,14 @@ void PutLe64(std::string* out, uint64_t v) {
   PutLe32(out, static_cast<uint32_t>(v >> 32));
 }
 
+// Overwrites the 4 bytes at `at`: record and nested-blob lengths are
+// patched in once their payload is written.
+void SetLe32(std::string* out, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 uint32_t GetLe32(const char* p) {
   return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
          static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
@@ -44,72 +52,6 @@ uint64_t Fnv1a64(const char* data, size_t size) {
     hash *= 1099511628211ULL;
   }
   return hash;
-}
-
-void Payload::PutU32(uint32_t v) { PutLe32(&data_, v); }
-void Payload::PutU64(uint64_t v) { PutLe64(&data_, v); }
-void Payload::PutI64(int64_t v) { PutLe64(&data_, static_cast<uint64_t>(v)); }
-
-void Payload::PutF64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutLe64(&data_, bits);
-}
-
-void Payload::PutBool(bool v) { data_.push_back(v ? '\1' : '\0'); }
-
-void Payload::PutString(std::string_view v) {
-  PutLe32(&data_, static_cast<uint32_t>(v.size()));
-  data_.append(v.data(), v.size());
-}
-
-Status PayloadReader::GetU32(uint32_t* out) {
-  if (remaining() < 4) return Status::Corruption("payload underrun (u32)");
-  *out = GetLe32(data_.data() + offset_);
-  offset_ += 4;
-  return Status::OK();
-}
-
-Status PayloadReader::GetU64(uint64_t* out) {
-  if (remaining() < 8) return Status::Corruption("payload underrun (u64)");
-  *out = GetLe64(data_.data() + offset_);
-  offset_ += 8;
-  return Status::OK();
-}
-
-Status PayloadReader::GetI64(int64_t* out) {
-  uint64_t v = 0;
-  Status s = GetU64(&v);
-  if (!s.ok()) return s;
-  *out = static_cast<int64_t>(v);
-  return Status::OK();
-}
-
-Status PayloadReader::GetF64(double* out) {
-  uint64_t bits = 0;
-  Status s = GetU64(&bits);
-  if (!s.ok()) return s;
-  std::memcpy(out, &bits, sizeof(*out));
-  return Status::OK();
-}
-
-Status PayloadReader::GetBool(bool* out) {
-  if (remaining() < 1) return Status::Corruption("payload underrun (bool)");
-  *out = data_[offset_++] != '\0';
-  return Status::OK();
-}
-
-Status PayloadReader::GetString(std::string* out) {
-  uint32_t size = 0;
-  Status s = GetU32(&size);
-  if (!s.ok()) return s;
-  if (remaining() < size) {
-    return Status::Corruption("payload underrun (string)");
-  }
-  out->assign(data_.data() + offset_, size);
-  offset_ += size;
-  return Status::OK();
 }
 
 void AppendRecord(std::string* out, uint32_t tag, std::string_view payload) {
@@ -138,11 +80,6 @@ Status ReadRecord(std::string_view bytes, size_t* offset, Record* out) {
   out->payload.assign(bytes.data() + start + 8, length);
   *offset = start + 8 + length + 8;
   return Status::OK();
-}
-
-Serializer::Serializer() {
-  PutLe64(&blob_, kBlobMagic);
-  PutLe32(&blob_, kFormatVersion);
 }
 
 StatusOr<Deserializer> Deserializer::Open(std::string_view blob) {
@@ -181,6 +118,134 @@ StatusOr<std::vector<Record>> ParseBlob(std::string_view blob) {
     records.push_back(std::move(record));
   }
   return records;
+}
+
+Archive::Archive(Framing framing) {
+  if (framing == Framing::kBlob) {
+    PutLe64(&out_, kBlobMagic);
+    PutLe32(&out_, kFormatVersion);
+  }
+}
+
+const char* Archive::Take(size_t n, const char* what) {
+  if (!ok()) return nullptr;
+  if (at_.payload.size() - at_.offset < n) {
+    Fail(Status::Corruption(std::string("payload underrun (") + what + ")"));
+    return nullptr;
+  }
+  const char* p = at_.payload.data() + at_.offset;
+  at_.offset += n;
+  return p;
+}
+
+void Archive::U32(uint32_t& v) {
+  if (!loading_) {
+    PutLe32(&out_, v);
+  } else if (const char* p = Take(4, "u32")) {
+    v = GetLe32(p);
+  }
+}
+
+void Archive::U64(uint64_t& v) {
+  if (!loading_) {
+    PutLe64(&out_, v);
+  } else if (const char* p = Take(8, "u64")) {
+    v = GetLe64(p);
+  }
+}
+
+void Archive::I64(int64_t& v) {
+  uint64_t bits = static_cast<uint64_t>(v);
+  U64(bits);
+  v = static_cast<int64_t>(bits);
+}
+
+void Archive::F64(double& v) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  U64(bits);
+  std::memcpy(&v, &bits, sizeof(v));
+}
+
+void Archive::Bool(bool& v) {
+  if (!loading_) {
+    out_.push_back(v ? '\1' : '\0');
+  } else if (const char* p = Take(1, "bool")) {
+    v = *p != '\0';
+  }
+}
+
+void Archive::String(std::string& v) {
+  uint32_t size = static_cast<uint32_t>(v.size());
+  U32(size);
+  if (!loading_) {
+    out_.append(v.data(), v.size());
+  } else if (const char* p = Take(size, "string")) {
+    v.assign(p, size);
+  }
+}
+
+uint32_t Archive::Count(size_t n, size_t element_bytes, size_t tail_bytes) {
+  uint32_t count = static_cast<uint32_t>(n);
+  U32(count);
+  if (!loading_) return count;
+  if (!ok()) return 0;
+  if (uint64_t{count} * element_bytes + tail_bytes >
+      at_.payload.size() - at_.offset) {
+    Fail(Status::Corruption("element count overruns its record"));
+    return 0;
+  }
+  return count;
+}
+
+size_t Archive::BeginRecord(uint32_t tag) {
+  const size_t frame = out_.size();
+  PutLe32(&out_, tag);
+  PutLe32(&out_, 0);  // Length, patched by EndRecord.
+  return frame;
+}
+
+void Archive::EndRecord(size_t frame) {
+  SetLe32(&out_, frame + 4, static_cast<uint32_t>(out_.size() - frame - 8));
+  PutLe64(&out_, Fnv1a64(out_.data() + frame, out_.size() - frame));
+}
+
+const ckpt::Record* Archive::NextRecord(uint32_t tag) {
+  for (size_t i = at_.next_record; i < at_.records.size(); ++i) {
+    if (at_.records[i].tag == tag) {
+      at_.next_record = i + 1;
+      return &at_.records[i];
+    }
+  }
+  return nullptr;
+}
+
+size_t Archive::BeginBlob() {
+  const size_t length_at = out_.size();
+  PutLe32(&out_, 0);  // Length, patched by EndBlob.
+  PutLe64(&out_, kBlobMagic);
+  PutLe32(&out_, kFormatVersion);
+  return length_at;
+}
+
+void Archive::EndBlob(size_t length_at) {
+  SetLe32(&out_, length_at,
+          static_cast<uint32_t>(out_.size() - length_at - 4));
+}
+
+bool Archive::ReadBlob(std::vector<ckpt::Record>* out) {
+  uint32_t size = 0;
+  U32(size);
+  const char* p = Take(size, "blob");
+  if (p == nullptr) return false;
+  auto records = ParseBlob(std::string_view(p, size));
+  if (!records.ok()) {
+    Fail(records.status());
+    return false;
+  }
+  *out = std::move(records).value();
+  return true;
 }
 
 }  // namespace ckpt

@@ -339,7 +339,10 @@ StatusOr<ClusterTopKResult> Coordinator::TopK(
     }
 
     Delivery delivery;
-    VAQ_CHECK(net.NextDelivery(&delivery));
+    // The queue may hold only duplicate copies, which PeekTimeMs reports
+    // and NextDelivery suppresses: then there is no message, and the
+    // next iteration goes back to the timers.
+    if (!net.NextDelivery(&delivery)) continue;
     clock.Advance(delivery.delivered_ms - clock.now_ms());
     const double now = clock.now_ms();
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vaq {
@@ -93,6 +94,18 @@ class IntervalSet {
   }
 
   std::string ToString() const;
+
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10): the count, then each
+  // interval's bounds. Loading re-normalizes, so the invariant below
+  // holds whatever the bytes said.
+  template <typename Archive>
+  void Persist(Archive& ar) {
+    ar.Vector(intervals_, 16, [&](Interval& iv) {
+      ar.I64(iv.lo);
+      ar.I64(iv.hi);
+    });
+    if (ar.loading()) *this = FromIntervals(std::move(intervals_));
+  }
 
  private:
   // Invariant: sorted by lo; for consecutive a, b: a.hi + 1 < b.lo.

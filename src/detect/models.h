@@ -56,6 +56,19 @@ struct ModelStats {
   int64_t fallbacks = 0;        // Observations filled by a missing-obs policy.
   int64_t breaker_trips = 0;    // Circuit-breaker open transitions.
 
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10).
+  template <typename Archive>
+  void Persist(Archive& ar) {
+    ar.I64(inferences);
+    ar.I64(type_queries);
+    ar.F64(simulated_ms);
+    ar.I64(faults_injected);
+    ar.I64(retries);
+    ar.I64(failures);
+    ar.I64(fallbacks);
+    ar.I64(breaker_trips);
+  }
+
   // Aggregation across models of a bundle or runs of a sweep; replaces
   // field-by-field hand summing at the call sites.
   ModelStats& operator+=(const ModelStats& other) {

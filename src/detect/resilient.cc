@@ -25,8 +25,13 @@ const char* DomainName(fault::FaultDomain domain) {
 ResilientCore::ResilientCore(const fault::FaultPlan* plan,
                              fault::FaultDomain domain,
                              ResilienceOptions options, fault::SimClock* clock,
+                             ResilienceState* state,
                              const std::string& model_name)
-    : plan_(plan), domain_(domain), options_(options), clock_(clock) {
+    : plan_(plan),
+      domain_(domain),
+      options_(options),
+      clock_(clock),
+      state_(state) {
   if (plan_ == nullptr) return;  // Pass-through: no registry families.
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   const std::string domain_name = DomainName(domain_);
@@ -83,10 +88,11 @@ double ResilientCore::Pow(double base, int64_t exp) {
 ResilientObjectDetector::ResilientObjectDetector(ObjectDetector* inner,
                                                  const fault::FaultPlan* plan,
                                                  ResilienceOptions options,
-                                                 fault::SimClock* clock)
+                                                 fault::SimClock* clock,
+                                                 ResilienceState* state)
     : inner_(inner),
       plan_(plan),
-      core_(plan, fault::FaultDomain::kDetector, options, clock,
+      core_(plan, fault::FaultDomain::kDetector, options, clock, state,
             inner->profile().name) {}
 
 StatusOr<double> ResilientObjectDetector::MaxScore(ObjectTypeId type,
@@ -98,10 +104,10 @@ StatusOr<double> ResilientObjectDetector::MaxScore(ObjectTypeId type,
 
 ResilientActionRecognizer::ResilientActionRecognizer(
     ActionRecognizer* inner, const fault::FaultPlan* plan,
-    ResilienceOptions options, fault::SimClock* clock)
+    ResilienceOptions options, fault::SimClock* clock, ResilienceState* state)
     : inner_(inner),
       plan_(plan),
-      core_(plan, fault::FaultDomain::kRecognizer, options, clock,
+      core_(plan, fault::FaultDomain::kRecognizer, options, clock, state,
             inner->profile().name) {}
 
 StatusOr<double> ResilientActionRecognizer::Score(ActionTypeId type,

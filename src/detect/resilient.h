@@ -61,6 +61,27 @@ struct ResilienceOptions {
   double clip_interval_ms = 3333.0;
 };
 
+// Mutable retry/breaker state of one wrapped model. It lives in a slot
+// its owner keeps (an engine checkpoints it with its own state); the
+// wrapper mutates it in place. `attempt_nonce` is part of the fault
+// schedule: restoring it replays the exact per-attempt fault draws the
+// uninterrupted run would see.
+struct ResilienceState {
+  int64_t attempt_nonce = 0;
+  int64_t consecutive_failures = 0;
+  bool breaker_open = false;
+  double breaker_reopen_ms = 0.0;
+
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10).
+  template <typename Archive>
+  void Persist(Archive& ar) {
+    ar.I64(attempt_nonce);
+    ar.I64(consecutive_failures);
+    ar.Bool(breaker_open);
+    ar.F64(breaker_reopen_ms);
+  }
+};
+
 namespace internal_detect {
 
 // Shared retry/backoff/breaker state machine; one per wrapped model.
@@ -73,10 +94,11 @@ class ResilientCore {
   // `model_name` labels this wrapper's registry metrics (families
   // vaq_model_calls_total / vaq_model_retries_total /
   // vaq_breaker_transitions_total). No metrics are registered for a null
-  // plan: the pass-through path stays zero-overhead.
+  // plan: the pass-through path stays zero-overhead. `state` must outlive
+  // the core.
   ResilientCore(const fault::FaultPlan* plan, fault::FaultDomain domain,
                 ResilienceOptions options, fault::SimClock* clock,
-                const std::string& model_name);
+                ResilienceState* state, const std::string& model_name);
 
   // Runs the attempt loop for the observation at `unit`; `score_fn()`
   // performs one real inner call and `inference_ms` prices it on the
@@ -86,7 +108,8 @@ class ResilientCore {
   StatusOr<double> Observe(int64_t unit, double inference_ms,
                            ModelStats* stats, ScoreFn&& score_fn) {
     if (plan_ == nullptr) return score_fn();  // Zero-overhead pass-through.
-    if (breaker_open_ && clock_->now_ms() < breaker_reopen_ms_) {
+    if (state_->breaker_open &&
+        clock_->now_ms() < state_->breaker_reopen_ms) {
       ++stats->failures;
       CountCall(calls_breaker_open_, "breaker_open");
       return Status::Unavailable("circuit breaker open");
@@ -102,7 +125,7 @@ class ResilientCore {
                         Pow(options_.backoff_multiplier, attempt - 1));
       }
       const fault::FaultKind kind =
-          plan_->ProbeCall(domain_, unit, attempt_nonce_++);
+          plan_->ProbeCall(domain_, unit, state_->attempt_nonce++);
       if (kind == fault::FaultKind::kCrash) {
         // The service is down for this whole outage window; retrying
         // within it is futile. Fail fast and let the breaker absorb the
@@ -128,9 +151,9 @@ class ResilientCore {
         last_error = Status::Unavailable("model returned invalid score");
         continue;
       }
-      consecutive_failures_ = 0;
-      if (breaker_open_) {
-        breaker_open_ = false;
+      state_->consecutive_failures = 0;
+      if (state_->breaker_open) {
+        state_->breaker_open = false;
         breaker_closed_->Increment();
       }
       CountCall(calls_ok_, "ok");
@@ -138,38 +161,18 @@ class ResilientCore {
     }
     ++stats->failures;
     CountCall(calls_failed_, "abandoned");
-    if (++consecutive_failures_ >= options_.breaker_threshold) {
-      if (!breaker_open_) {
+    if (++state_->consecutive_failures >= options_.breaker_threshold) {
+      if (!state_->breaker_open) {
         ++stats->breaker_trips;
         breaker_opened_->Increment();
       }
-      breaker_open_ = true;
-      breaker_reopen_ms_ = clock_->now_ms() + options_.breaker_open_ms;
+      state_->breaker_open = true;
+      state_->breaker_reopen_ms = clock_->now_ms() + options_.breaker_open_ms;
     }
     return last_error;
   }
 
-  bool healthy() const { return !breaker_open_; }
-
-  // Mutable retry/breaker state, exposed for checkpointing (src/ckpt/).
-  // `attempt_nonce` is part of the fault schedule: restoring it replays
-  // the exact per-attempt fault draws the uninterrupted run would see.
-  struct State {
-    int64_t attempt_nonce = 0;
-    int64_t consecutive_failures = 0;
-    bool breaker_open = false;
-    double breaker_reopen_ms = 0.0;
-  };
-  State state() const {
-    return State{attempt_nonce_, consecutive_failures_, breaker_open_,
-                 breaker_reopen_ms_};
-  }
-  void set_state(const State& s) {
-    attempt_nonce_ = s.attempt_nonce;
-    consecutive_failures_ = s.consecutive_failures;
-    breaker_open_ = s.breaker_open;
-    breaker_reopen_ms_ = s.breaker_reopen_ms;
-  }
+  bool healthy() const { return !state_->breaker_open; }
 
  private:
   // Increments the registry counter and mirrors the outcome into the
@@ -187,10 +190,7 @@ class ResilientCore {
   fault::FaultDomain domain_;
   ResilienceOptions options_;
   fault::SimClock* clock_;
-  int64_t attempt_nonce_ = 0;
-  int64_t consecutive_failures_ = 0;
-  bool breaker_open_ = false;
-  double breaker_reopen_ms_ = 0.0;
+  ResilienceState* state_;
 
   // Registry mirrors, resolved once at construction. All non-null whenever
   // `plan_` is set; the null-plan pass-through returns before touching any
@@ -208,12 +208,14 @@ class ResilientCore {
 
 }  // namespace internal_detect
 
-// Object detector with deadline/retry/breaker semantics. `inner`, `plan`
-// and `clock` must outlive the wrapper; `plan` may be null (pass-through).
+// Object detector with deadline/retry/breaker semantics. `inner`, `plan`,
+// `clock` and `state` must outlive the wrapper; `plan` may be null
+// (pass-through).
 class ResilientObjectDetector {
  public:
   ResilientObjectDetector(ObjectDetector* inner, const fault::FaultPlan* plan,
-                          ResilienceOptions options, fault::SimClock* clock);
+                          ResilienceOptions options, fault::SimClock* clock,
+                          ResilienceState* state);
 
   // MaxScore with failure handling; kUnavailable / kDeadlineExceeded when
   // the observation was abandoned.
@@ -231,13 +233,6 @@ class ResilientObjectDetector {
   bool healthy() const { return core_.healthy(); }
   ObjectDetector* inner() { return inner_; }
 
-  internal_detect::ResilientCore::State core_state() const {
-    return core_.state();
-  }
-  void set_core_state(const internal_detect::ResilientCore::State& s) {
-    core_.set_state(s);
-  }
-
  private:
   ObjectDetector* inner_;
   const fault::FaultPlan* plan_;
@@ -249,7 +244,8 @@ class ResilientActionRecognizer {
  public:
   ResilientActionRecognizer(ActionRecognizer* inner,
                             const fault::FaultPlan* plan,
-                            ResilienceOptions options, fault::SimClock* clock);
+                            ResilienceOptions options, fault::SimClock* clock,
+                            ResilienceState* state);
 
   StatusOr<double> Score(ActionTypeId type, ShotIndex shot);
 
@@ -262,13 +258,6 @@ class ResilientActionRecognizer {
 
   bool healthy() const { return core_.healthy(); }
   ActionRecognizer* inner() { return inner_; }
-
-  internal_detect::ResilientCore::State core_state() const {
-    return core_.state();
-  }
-  void set_core_state(const internal_detect::ResilientCore::State& s) {
-    core_.set_state(s);
-  }
 
  private:
   ActionRecognizer* inner_;

@@ -28,6 +28,12 @@ class SimClock {
   // front door, the cluster gather) advance with this.
   void AdvanceTo(double at_ms) { Advance(at_ms - now_ms_); }
 
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10).
+  template <typename Archive>
+  void Persist(Archive& ar) {
+    ar.F64(now_ms_);
+  }
+
  private:
   double now_ms_ = 0.0;
 };

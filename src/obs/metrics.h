@@ -39,6 +39,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+
 namespace vaq {
 namespace obs {
 
@@ -141,6 +143,43 @@ struct Snapshot {
     std::vector<int64_t> bucket_counts;
     int64_t hist_count = 0;
     double hist_sum = 0.0;
+
+    // Checkpoint body (ckpt::Archive, DESIGN.md §10): one snapshot
+    // record per instrument — name, kind, labels, then the values.
+    template <typename Archive>
+    void Persist(Archive& ar) {
+      ar.String(name);
+      uint32_t k = static_cast<uint32_t>(kind);
+      ar.U32(k);
+      if (k > static_cast<uint32_t>(Kind::kHistogram)) {
+        ar.Fail(Status::Corruption("bad metric kind in checkpoint"));
+        return;
+      }
+      kind = static_cast<Kind>(k);
+      // A label is two length-prefixed strings, at least 8 bytes.
+      ar.Vector(labels, 8, [&](std::pair<std::string, std::string>& label) {
+        ar.String(label.first);
+        ar.String(label.second);
+      });
+      switch (kind) {
+        case Kind::kCounter:
+          ar.I64(counter_value);
+          break;
+        case Kind::kGauge:
+          ar.F64(gauge_value);
+          break;
+        case Kind::kHistogram: {
+          // n bounds, n + 1 bucket counts, then count and sum: 16n + 24.
+          bounds.resize(ar.Count(bounds.size(), 16, 24));
+          bucket_counts.resize(bounds.size() + 1);
+          for (double& b : bounds) ar.F64(b);
+          for (int64_t& c : bucket_counts) ar.I64(c);
+          ar.I64(hist_count);
+          ar.F64(hist_sum);
+          break;
+        }
+      }
+    }
   };
   std::vector<Entry> entries;
 };

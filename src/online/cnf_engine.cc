@@ -5,7 +5,6 @@
 
 #include "ckpt/serializer.h"
 #include "common/logging.h"
-#include "online/state_codec.h"
 #include "scanstat/critical_value.h"
 #include "scanstat/kernel_estimator.h"
 
@@ -33,6 +32,13 @@ struct LiteralState {
     kcrit = scanstat::CriticalValue(p_at_last_compute, config);
   }
 
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10).
+  void Persist(ckpt::Archive& ar) {
+    estimator.Persist(ar);
+    ar.F64(p_at_last_compute);
+    ar.I64(kcrit);
+  }
+
   void MaybeRecompute(double rel_tol) {
     const double p = estimator.rate();
     const double ref = std::max(p_at_last_compute, 1e-12);
@@ -42,8 +48,8 @@ struct LiteralState {
   }
 };
 
-// Record tags of the CnfStream snapshot blob (append-only within a
-// ckpt::kFormatVersion).
+// Record tags of the CnfStream snapshot blob, in format order
+// (append-only within a ckpt::kFormatVersion).
 enum CnfTag : uint32_t {
   kTagMeta = 1,
   kTagSequences = 2,
@@ -216,87 +222,37 @@ std::vector<int64_t> CnfStream::kcrit() const {
   return out;
 }
 
-std::string CnfStream::SnapshotState() const {
-  ckpt::Serializer out;
-  {
-    ckpt::Payload meta;
-    meta.PutI64(next_clip_);
-    meta.PutI64(open_start_);
-    meta.PutBool(finished_);
-    meta.PutU32(static_cast<uint32_t>(impl_->states.size()));
-    out.Append(kTagMeta, meta);
+void CnfStream::Persist(ckpt::Archive& ar) {
+  if (ar.loading() && (next_clip_ != 0 || finished_)) {
+    ar.Fail(Status::FailedPrecondition(
+        "a checkpoint loads only into a fresh CnfStream"));
+    return;
   }
-  {
-    ckpt::Payload seqs;
-    internal_online::EncodeIntervalSet(sequences_, &seqs);
-    out.Append(kTagSequences, seqs);
-  }
-  for (size_t s = 0; s < impl_->states.size(); ++s) {
-    const LiteralState& state = impl_->states[s];
-    ckpt::Payload p;
-    p.PutU32(static_cast<uint32_t>(s));
-    internal_online::EncodeEstimator(state.estimator, &p);
-    p.PutF64(state.p_at_last_compute);
-    p.PutI64(state.kcrit);
-    out.Append(kTagLiteral, p);
-  }
-  return out.blob();
-}
-
-Status CnfStream::RestoreState(const std::string& blob) {
-  if (next_clip_ != 0 || finished_) {
-    return Status::FailedPrecondition(
-        "RestoreState requires a fresh CnfStream");
-  }
-  auto records = ckpt::ParseBlob(blob);
-  if (!records.ok()) return records.status();
-  bool saw_meta = false;
-  for (const ckpt::Record& record : records.value()) {
-    ckpt::PayloadReader in(record.payload);
-    switch (record.tag) {
-      case kTagMeta: {
-        int64_t next_clip = 0, open_start = 0;
-        bool finished = false;
-        uint32_t n_literals = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&next_clip));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&open_start));
-        VAQ_RETURN_IF_ERROR(in.GetBool(&finished));
-        VAQ_RETURN_IF_ERROR(in.GetU32(&n_literals));
-        if (n_literals != impl_->states.size()) {
-          return Status::InvalidArgument(
-              "checkpoint does not match this CNF query's literal count");
-        }
-        next_clip_ = next_clip;
-        open_start_ = open_start;
-        finished_ = finished;
-        saw_meta = true;
-        break;
-      }
-      case kTagSequences:
-        VAQ_RETURN_IF_ERROR(
-            internal_online::DecodeIntervalSet(&in, &sequences_));
-        break;
-      case kTagLiteral: {
-        uint32_t index = 0;
-        VAQ_RETURN_IF_ERROR(in.GetU32(&index));
-        if (index >= impl_->states.size()) {
-          return Status::Corruption("CNF literal index out of range");
-        }
-        LiteralState& state = impl_->states[index];
-        VAQ_RETURN_IF_ERROR(
-            internal_online::DecodeEstimator(&in, &state.estimator));
-        VAQ_RETURN_IF_ERROR(in.GetF64(&state.p_at_last_compute));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&state.kcrit));
-        break;
-      }
-      default:
-        break;  // Unknown record from a newer writer: skip.
+  std::vector<LiteralState>& states = impl_->states;
+  const bool meta = ar.Record(kTagMeta, [&] {
+    ar.I64(next_clip_);
+    ar.I64(open_start_);
+    ar.Bool(finished_);
+    uint32_t n_literals = static_cast<uint32_t>(states.size());
+    ar.U32(n_literals);
+    if (n_literals != states.size()) {
+      ar.Fail(Status::InvalidArgument(
+          "checkpoint does not match this CNF query's literal count"));
     }
+  });
+  if (!meta) ar.Fail(Status::Corruption("CNF checkpoint missing meta record"));
+  ar.Record(kTagSequences, [&] { sequences_.Persist(ar); });
+  for (uint32_t i = 0; i < states.size(); ++i) {
+    ar.Record(kTagLiteral, [&] {
+      uint32_t index = i;
+      ar.U32(index);
+      if (index != i) {
+        ar.Fail(Status::Corruption("CNF literal records out of order"));
+        return;
+      }
+      states[i].Persist(ar);
+    });
   }
-  if (!saw_meta) {
-    return Status::Corruption("CNF checkpoint missing meta record");
-  }
-  return Status::OK();
 }
 
 CnfEngine::CnfEngine(CnfQuery query, VideoLayout layout,

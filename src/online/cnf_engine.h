@@ -24,6 +24,10 @@
 #include "video/layout.h"
 
 namespace vaq {
+namespace ckpt {
+class Archive;
+}  // namespace ckpt
+
 namespace online {
 
 struct CnfEngineOptions {
@@ -55,7 +59,7 @@ struct CnfResult {
 // sequences as open/closed runs exactly like StreamingSvaqd. Feeding
 // every clip of the layout through PushClip reproduces Run bit for bit
 // (Run is implemented on top of this class). Checkpointable: see
-// SnapshotState / RestoreState.
+// Persist.
 class CnfStream {
  public:
   CnfStream(CnfQuery query, VideoLayout layout, CnfEngineOptions options);
@@ -82,11 +86,11 @@ class CnfStream {
   std::vector<Literal> literals() const;
   std::vector<int64_t> kcrit() const;
 
-  // Complete mutable state as a ckpt::Serializer blob; restore on a
-  // freshly constructed stream with identical (query, layout, options)
-  // resumes the exact trajectory (see StreamingSvaqd::SnapshotState).
-  std::string SnapshotState() const;
-  Status RestoreState(const std::string& blob);
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10): the complete mutable
+  // state. Loading it into a freshly constructed stream with identical
+  // (query, layout, options) resumes the exact trajectory (see
+  // StreamingSvaqd::Persist).
+  void Persist(ckpt::Archive& ar);
 
  private:
   struct Impl;  // Per-literal estimator/critical-value state (internal).

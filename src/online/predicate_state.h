@@ -66,6 +66,21 @@ struct PredicateState {
     return std::clamp((design - 1.0) / (design + 1.0), 0.0, 0.95);
   }
 
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10). Doubles travel as
+  // bit patterns, so a restored engine continues on the identical
+  // floating-point trajectory.
+  template <typename Archive>
+  void Persist(Archive& ar) {
+    estimator.Persist(ar);
+    ar.F64(p_at_last_compute);
+    ar.I64(kcrit);
+    ar.F64(last_observed_rate);
+    ar.F64(count_weight);
+    ar.F64(count_sum);
+    ar.F64(count_sq_sum);
+    ar.F64(window_sum);
+  }
+
   void Recompute() {
     p_at_last_compute = estimator.rate();
     if (burst_aware) {

@@ -1,12 +1,13 @@
 #include "online/streaming.h"
 
+#include <optional>
+
 #include "ckpt/serializer.h"
 #include "common/logging.h"
 #include "fault/sim_clock.h"
 #include "obs/metrics.h"
 #include "online/clip_evaluator.h"
 #include "online/predicate_state.h"
-#include "online/state_codec.h"
 
 namespace vaq {
 namespace online {
@@ -22,16 +23,15 @@ struct StreamingSvaqd::State {
   std::unique_ptr<PredicateState> action;
 
   fault::SimClock clock;
+  // The wrappers' retry/breaker state. A slot is filled when its wrapper
+  // binds (lazily, to the model instances of the first PushClip) or when
+  // a checkpoint loads it; the wrapper mutates it in place and Persist
+  // reads it, so a loaded slot survives into the next snapshot whether
+  // or not a wrapper has bound to it yet.
+  std::optional<detect::ResilienceState> detector_state;
+  std::optional<detect::ResilienceState> recognizer_state;
   std::unique_ptr<detect::ResilientObjectDetector> rdetector;
   std::unique_ptr<detect::ResilientActionRecognizer> rrecognizer;
-
-  // Retry/breaker state restored from a checkpoint before the wrappers
-  // exist (they bind lazily to the model instances of the first
-  // PushClip); applied at wrapper creation.
-  bool has_pending_det_core = false;
-  bool has_pending_rec_core = false;
-  detect::internal_detect::ResilientCore::State pending_det_core;
-  detect::internal_detect::ResilientCore::State pending_rec_core;
 
   // Registry mirrors, resolved once per engine instance. Events are
   // counted where they logically occur, whether or not a callback is
@@ -116,12 +116,10 @@ StatusOr<bool> StreamingSvaqd::PushClip(detect::ObjectDetector* detector,
     // retry nonces and breaker state are meaningless across instances.
     if (detector != nullptr) {
       if (state_->rdetector == nullptr) {
+        if (!state_->detector_state) state_->detector_state.emplace();
         state_->rdetector = std::make_unique<detect::ResilientObjectDetector>(
-            detector, plan, options_.resilience, &state_->clock);
-        if (state_->has_pending_det_core) {
-          state_->rdetector->set_core_state(state_->pending_det_core);
-          state_->has_pending_det_core = false;
-        }
+            detector, plan, options_.resilience, &state_->clock,
+            &*state_->detector_state);
       } else if (state_->rdetector->inner() != detector) {
         return Status::InvalidArgument(
             "PushClip called with a different detector instance");
@@ -129,13 +127,11 @@ StatusOr<bool> StreamingSvaqd::PushClip(detect::ObjectDetector* detector,
     }
     if (recognizer != nullptr) {
       if (state_->rrecognizer == nullptr) {
+        if (!state_->recognizer_state) state_->recognizer_state.emplace();
         state_->rrecognizer =
             std::make_unique<detect::ResilientActionRecognizer>(
-                recognizer, plan, options_.resilience, &state_->clock);
-        if (state_->has_pending_rec_core) {
-          state_->rrecognizer->set_core_state(state_->pending_rec_core);
-          state_->has_pending_rec_core = false;
-        }
+                recognizer, plan, options_.resilience, &state_->clock,
+                &*state_->recognizer_state);
       } else if (state_->rrecognizer->inner() != recognizer) {
         return Status::InvalidArgument(
             "PushClip called with a different recognizer instance");
@@ -232,8 +228,8 @@ StatusOr<bool> StreamingSvaqd::PushPrunedClip() {
 
 namespace {
 
-// Record tags of the StreamingSvaqd snapshot blob (append-only within a
-// ckpt::kFormatVersion).
+// Record tags of the StreamingSvaqd snapshot blob, in format order
+// (append-only within a ckpt::kFormatVersion).
 enum StreamingTag : uint32_t {
   kTagMeta = 1,
   kTagSequences = 2,
@@ -245,129 +241,49 @@ enum StreamingTag : uint32_t {
 
 }  // namespace
 
-std::string StreamingSvaqd::SnapshotState() const {
-  ckpt::Serializer out;
-  {
-    ckpt::Payload meta;
-    meta.PutI64(next_clip_);
-    meta.PutI64(open_start_);
-    meta.PutBool(finished_);
-    meta.PutI64(degraded_clips_);
-    meta.PutI64(dropped_clips_);
-    meta.PutF64(state_->clock.now_ms());
-    meta.PutU32(static_cast<uint32_t>(state_->objects.size()));
-    meta.PutBool(state_->action != nullptr);
-    out.Append(kTagMeta, meta);
+void StreamingSvaqd::Persist(ckpt::Archive& ar) {
+  if (ar.loading() && (next_clip_ != 0 || finished_)) {
+    ar.Fail(Status::FailedPrecondition(
+        "a checkpoint loads only into a fresh StreamingSvaqd"));
+    return;
   }
-  {
-    ckpt::Payload seqs;
-    internal_online::EncodeIntervalSet(sequences_, &seqs);
-    out.Append(kTagSequences, seqs);
-  }
-  for (size_t i = 0; i < state_->objects.size(); ++i) {
-    ckpt::Payload p;
-    p.PutU32(static_cast<uint32_t>(i));
-    internal_online::EncodePredicateState(state_->objects[i], &p);
-    out.Append(kTagObjectPredicate, p);
-  }
-  if (state_->action != nullptr) {
-    ckpt::Payload p;
-    internal_online::EncodePredicateState(*state_->action, &p);
-    out.Append(kTagActionPredicate, p);
-  }
-  if (state_->rdetector != nullptr) {
-    ckpt::Payload p;
-    internal_online::EncodeResilientCoreState(state_->rdetector->core_state(),
-                                              &p);
-    out.Append(kTagDetectorCore, p);
-  }
-  if (state_->rrecognizer != nullptr) {
-    ckpt::Payload p;
-    internal_online::EncodeResilientCoreState(
-        state_->rrecognizer->core_state(), &p);
-    out.Append(kTagRecognizerCore, p);
-  }
-  return out.blob();
-}
-
-Status StreamingSvaqd::RestoreState(const std::string& blob) {
-  if (next_clip_ != 0 || finished_) {
-    return Status::FailedPrecondition(
-        "RestoreState requires a fresh StreamingSvaqd");
-  }
-  auto records = ckpt::ParseBlob(blob);
-  if (!records.ok()) return records.status();
-  bool saw_meta = false;
-  for (const ckpt::Record& record : records.value()) {
-    ckpt::PayloadReader in(record.payload);
-    switch (record.tag) {
-      case kTagMeta: {
-        int64_t next_clip = 0, open_start = 0;
-        bool finished = false;
-        double clock_ms = 0.0;
-        uint32_t n_objects = 0;
-        bool has_action = false;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&next_clip));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&open_start));
-        VAQ_RETURN_IF_ERROR(in.GetBool(&finished));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&degraded_clips_));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&dropped_clips_));
-        VAQ_RETURN_IF_ERROR(in.GetF64(&clock_ms));
-        VAQ_RETURN_IF_ERROR(in.GetU32(&n_objects));
-        VAQ_RETURN_IF_ERROR(in.GetBool(&has_action));
-        if (n_objects != state_->objects.size() ||
-            has_action != (state_->action != nullptr)) {
-          return Status::InvalidArgument(
-              "checkpoint does not match this engine's query shape");
-        }
-        next_clip_ = next_clip;
-        open_start_ = open_start;
-        finished_ = finished;
-        // A fresh SimClock starts at 0, so one Advance lands on the
-        // saved value exactly (0.0 + x == x in IEEE-754).
-        state_->clock.Advance(clock_ms);
-        saw_meta = true;
-        break;
-      }
-      case kTagSequences:
-        VAQ_RETURN_IF_ERROR(
-            internal_online::DecodeIntervalSet(&in, &sequences_));
-        break;
-      case kTagObjectPredicate: {
-        uint32_t index = 0;
-        VAQ_RETURN_IF_ERROR(in.GetU32(&index));
-        if (index >= state_->objects.size()) {
-          return Status::Corruption("object predicate index out of range");
-        }
-        VAQ_RETURN_IF_ERROR(internal_online::DecodePredicateState(
-            &in, &state_->objects[index]));
-        break;
-      }
-      case kTagActionPredicate:
-        if (state_->action == nullptr) {
-          return Status::Corruption("action predicate for actionless query");
-        }
-        VAQ_RETURN_IF_ERROR(
-            internal_online::DecodePredicateState(&in, state_->action.get()));
-        break;
-      case kTagDetectorCore:
-        VAQ_RETURN_IF_ERROR(internal_online::DecodeResilientCoreState(
-            &in, &state_->pending_det_core));
-        state_->has_pending_det_core = true;
-        break;
-      case kTagRecognizerCore:
-        VAQ_RETURN_IF_ERROR(internal_online::DecodeResilientCoreState(
-            &in, &state_->pending_rec_core));
-        state_->has_pending_rec_core = true;
-        break;
-      default:
-        break;  // Unknown record from a newer writer: skip.
+  State& s = *state_;
+  const bool meta = ar.Record(kTagMeta, [&] {
+    ar.I64(next_clip_);
+    ar.I64(open_start_);
+    ar.Bool(finished_);
+    ar.I64(degraded_clips_);
+    ar.I64(dropped_clips_);
+    s.clock.Persist(ar);
+    uint32_t n_objects = static_cast<uint32_t>(s.objects.size());
+    bool has_action = s.action != nullptr;
+    ar.U32(n_objects);
+    ar.Bool(has_action);
+    if (n_objects != s.objects.size() || has_action != (s.action != nullptr)) {
+      ar.Fail(Status::InvalidArgument(
+          "checkpoint does not match this engine's query shape"));
     }
+  });
+  if (!meta) {
+    ar.Fail(Status::Corruption("streaming checkpoint missing meta record"));
   }
-  if (!saw_meta) {
-    return Status::Corruption("streaming checkpoint missing meta record");
+  ar.Record(kTagSequences, [&] { sequences_.Persist(ar); });
+  for (uint32_t i = 0; i < s.objects.size(); ++i) {
+    ar.Record(kTagObjectPredicate, [&] {
+      uint32_t index = i;
+      ar.U32(index);
+      if (index != i) {
+        ar.Fail(Status::Corruption("object predicate records out of order"));
+        return;
+      }
+      s.objects[i].Persist(ar);
+    });
   }
-  return Status::OK();
+  if (s.action != nullptr) {
+    ar.Record(kTagActionPredicate, [&] { s.action->Persist(ar); });
+  }
+  ar.Optional(kTagDetectorCore, s.detector_state);
+  ar.Optional(kTagRecognizerCore, s.recognizer_state);
 }
 
 void StreamingSvaqd::Finish() {

@@ -28,6 +28,10 @@
 #include "online/svaqd.h"
 
 namespace vaq {
+namespace ckpt {
+class Archive;
+}  // namespace ckpt
+
 namespace online {
 
 // A change in the set of result sequences.
@@ -89,18 +93,17 @@ class StreamingSvaqd {
   // All sequences closed so far (plus the open one only after Finish()).
   const IntervalSet& sequences() const { return sequences_; }
 
-  // Serializes the engine's complete mutable state — stream cursor, open
-  // run, closed sequences, per-predicate kernel estimators and critical
-  // values, simulated clock, and the resilience wrappers' retry/breaker
-  // state — as a ckpt::Serializer blob (DESIGN.md §10). Restoring it on a
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10): the engine's
+  // complete mutable state — stream cursor, open run, closed sequences,
+  // per-predicate kernel estimators and critical values, simulated clock,
+  // and the resilience wrappers' retry/breaker state. Loading it into a
   // freshly constructed engine with the identical (query, layout,
   // options) resumes the exact trajectory: pushing the remaining clips
-  // yields bit-identical indicators, sequences and stats deltas.
-  std::string SnapshotState() const;
-  // kFailedPrecondition unless this engine is fresh (no clips pushed);
-  // kCorruption / kInvalidArgument when the blob is damaged or shaped for
-  // a different query.
-  Status RestoreState(const std::string& blob);
+  // yields bit-identical indicators, sequences and stats deltas. Loading
+  // fails with kFailedPrecondition unless this engine is fresh (no clips
+  // pushed), kCorruption / kInvalidArgument when the records are damaged
+  // or shaped for a different query.
+  void Persist(ckpt::Archive& ar);
 
  private:
   struct State;  // Per-predicate adaptive state (internal).

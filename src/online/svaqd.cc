@@ -180,16 +180,18 @@ OnlineResult Svaqd::Run(detect::ObjectDetector* detector,
   // push order, exactly as StreamingSvaqd's does.
   const fault::FaultPlan* plan = options_.fault_plan;
   fault::SimClock clock;
+  detect::ResilienceState detector_state;
+  detect::ResilienceState recognizer_state;
   std::unique_ptr<detect::ResilientObjectDetector> rdetector;
   std::unique_ptr<detect::ResilientActionRecognizer> rrecognizer;
   if (plan != nullptr) {
     if (detector != nullptr) {
       rdetector = std::make_unique<detect::ResilientObjectDetector>(
-          detector, plan, options_.resilience, &clock);
+          detector, plan, options_.resilience, &clock, &detector_state);
     }
     if (recognizer != nullptr) {
       rrecognizer = std::make_unique<detect::ResilientActionRecognizer>(
-          recognizer, plan, options_.resilience, &clock);
+          recognizer, plan, options_.resilience, &clock, &recognizer_state);
     }
   }
   std::vector<double> object_fallback(objects.size(), 0.0);

@@ -57,21 +57,14 @@ class KernelRateEstimator {
 
   double bandwidth() const { return bandwidth_u_; }
 
-  // The estimator's full mutable state, exposed for checkpointing
-  // (src/ckpt/): restoring it on a freshly constructed estimator with the
-  // same (bandwidth, prior) parameters resumes the identical trajectory.
-  struct State {
-    double event_weight = 0.0;
-    double total_weight = 0.0;
-    int64_t num_observed = 0;
-  };
-  State state() const {
-    return State{event_weight_, total_weight_, num_observed_};
-  }
-  void set_state(const State& s) {
-    event_weight_ = s.event_weight;
-    total_weight_ = s.total_weight;
-    num_observed_ = s.num_observed;
+  // Checkpoint body (ckpt::Archive, DESIGN.md §10): the full mutable
+  // state. Loading it into a freshly constructed estimator with the same
+  // (bandwidth, prior) parameters resumes the identical trajectory.
+  template <typename Archive>
+  void Persist(Archive& ar) {
+    ar.F64(event_weight_);
+    ar.F64(total_weight_);
+    ar.I64(num_observed_);
   }
 
  private:

@@ -92,13 +92,14 @@ class SharedDetectionCache {
     }
   }
 
-  // Checkpoint recovery: overwrites the reuse accounting with the values
-  // persisted at snapshot time (the recovered process re-acquires its
-  // bundles, which would otherwise double-count creations).
-  void RestoreCounters(int64_t created, int64_t reuses) {
+  // Checkpoint body of the reuse accounting (ckpt::Archive, DESIGN.md
+  // §10). Loading overwrites it: the recovered process re-acquires its
+  // bundles, which would otherwise double-count creations.
+  template <typename Archive>
+  void PersistCounters(Archive& ar) {
     std::lock_guard<std::mutex> lock(mu_);
-    bundles_created_ = created;
-    bundle_reuses_ = reuses;
+    ar.I64(bundles_created_);
+    ar.I64(bundle_reuses_);
   }
 
   // Drops every cached bundle (and its memoized inferences).

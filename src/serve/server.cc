@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "cascade/store.h"
-#include "ckpt/metrics_io.h"
+#include "ckpt/serializer.h"
 #include "common/logging.h"
 #include "detect/model_profile.h"
 #include "query/parser.h"
@@ -26,9 +26,9 @@ constexpr double kRowMs = query::kModeledRowMs;
 // down to bytes); a snapshot charges one seek plus this per byte.
 constexpr double kSnapshotByteMs = 1e-5;
 
-// Snapshot blob record tags (ckpt::Serializer framing). Append-only
+// Snapshot blob record tags (ckpt::Archive framing). Append-only
 // within a format version; the record order in the blob is load-bearing
-// for recovery — see CheckpointLocked.
+// for recovery — see PersistLocked.
 enum SnapshotTag : uint32_t {
   kSnapStanding = 1,       // One standing query incl. its engine blob.
   kSnapStreamPos = 2,      // One stream's clip cursor.
@@ -68,91 +68,75 @@ detect::ModelStats StatsDelta(const detect::ModelStats& after,
   return d;
 }
 
-void EncodeModelStats(const detect::ModelStats& s, ckpt::Payload* out) {
-  out->PutI64(s.inferences);
-  out->PutI64(s.type_queries);
-  out->PutF64(s.simulated_ms);
-  out->PutI64(s.faults_injected);
-  out->PutI64(s.retries);
-  out->PutI64(s.failures);
-  out->PutI64(s.fallbacks);
-  out->PutI64(s.breaker_trips);
-}
-
-Status DecodeModelStats(ckpt::PayloadReader* in, detect::ModelStats* s) {
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->inferences));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->type_queries));
-  VAQ_RETURN_IF_ERROR(in->GetF64(&s->simulated_ms));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->faults_injected));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->retries));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->failures));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->fallbacks));
-  VAQ_RETURN_IF_ERROR(in->GetI64(&s->breaker_trips));
-  return Status::OK();
-}
-
-void EncodeStatus(const Status& s, ckpt::Payload* out) {
-  out->PutBool(s.ok());
-  if (!s.ok()) {
-    out->PutU32(static_cast<uint32_t>(s.code()));
-    out->PutString(s.message());
-  }
-}
-
-Status DecodeStatus(ckpt::PayloadReader* in, Status* out) {
-  bool ok = false;
-  VAQ_RETURN_IF_ERROR(in->GetBool(&ok));
+// A query's status: ok, or its code and message.
+void PersistStatus(ckpt::Archive& ar, Status& status) {
+  bool ok = status.ok();
+  ar.Bool(ok);
   if (ok) {
-    *out = Status::OK();
-    return Status::OK();
+    if (ar.loading()) status = Status::OK();
+    return;
   }
-  uint32_t code = 0;
-  std::string message;
-  VAQ_RETURN_IF_ERROR(in->GetU32(&code));
-  VAQ_RETURN_IF_ERROR(in->GetString(&message));
-  *out = Status(static_cast<StatusCode>(code), std::move(message));
-  return Status::OK();
+  uint32_t code = static_cast<uint32_t>(status.code());
+  std::string message(status.message());
+  ar.U32(code);
+  ar.String(message);
+  if (ar.loading()) status = Status(static_cast<StatusCode>(code), message);
+}
+
+// One model's cumulative stats, present when the bundle has the model.
+template <typename Model>
+void PersistModelStats(ckpt::Archive& ar, Model* model, const char* what) {
+  bool present = model != nullptr;
+  ar.Bool(present);
+  if (!present) return;
+  if (model == nullptr) {
+    ar.Fail(Status::Corruption(std::string("snapshot has ") + what +
+                               " stats for a bundle rebuilt without a " +
+                               what));
+    return;
+  }
+  model->mutable_stats().Persist(ar);
 }
 
 // Cumulative detector/recognizer stats of one bundle (the tracker is
 // untouched by the online engines).
-void EncodeBundleStats(const detect::ModelBundle& bundle,
-                       ckpt::Payload* out) {
-  out->PutBool(bundle.detector != nullptr);
-  if (bundle.detector != nullptr) {
-    EncodeModelStats(bundle.detector->stats(), out);
-  }
-  out->PutBool(bundle.recognizer != nullptr);
-  if (bundle.recognizer != nullptr) {
-    EncodeModelStats(bundle.recognizer->stats(), out);
-  }
+void PersistBundleStats(ckpt::Archive& ar, detect::ModelBundle& bundle) {
+  PersistModelStats(ar, bundle.detector.get(), "detector");
+  PersistModelStats(ar, bundle.recognizer.get(), "recognizer");
 }
 
-Status DecodeBundleStats(ckpt::PayloadReader* in,
-                         detect::ModelBundle* bundle) {
-  bool has_detector = false;
-  VAQ_RETURN_IF_ERROR(in->GetBool(&has_detector));
-  if (has_detector) {
-    detect::ModelStats s;
-    VAQ_RETURN_IF_ERROR(DecodeModelStats(in, &s));
-    if (bundle->detector == nullptr) {
-      return Status::Corruption("snapshot has detector stats for a bundle "
-                                "rebuilt without a detector");
-    }
-    bundle->detector->mutable_stats() = s;
+// WAL record bodies, shared by the append and the replay.
+struct WalAddQuery {
+  int64_t id = 0;
+  std::string sql;
+  void Persist(ckpt::Archive& ar) {
+    ar.I64(id);
+    ar.String(sql);
   }
-  bool has_recognizer = false;
-  VAQ_RETURN_IF_ERROR(in->GetBool(&has_recognizer));
-  if (has_recognizer) {
-    detect::ModelStats s;
-    VAQ_RETURN_IF_ERROR(DecodeModelStats(in, &s));
-    if (bundle->recognizer == nullptr) {
-      return Status::Corruption("snapshot has recognizer stats for a bundle "
-                                "rebuilt without a recognizer");
-    }
-    bundle->recognizer->mutable_stats() = s;
+};
+
+struct WalClip {
+  std::string source;
+  int64_t clip = 0;
+  void Persist(ckpt::Archive& ar) {
+    ar.String(source);
+    ar.I64(clip);
   }
-  return Status::OK();
+};
+
+// The framed bytes of one WAL record.
+template <typename WalRecord>
+std::string FrameWal(uint32_t tag, WalRecord record) {
+  ckpt::Archive ar(ckpt::Archive::Framing::kRecordStream);
+  ar.Record(tag, [&] { record.Persist(ar); });
+  return std::move(ar).TakeBytes();
+}
+
+// 1 = StreamingSvaqd, 2 = CnfStream, 0 = none (the statement failed to
+// build an engine).
+template <typename StandingQuery>
+uint32_t EngineKind(const StandingQuery& q) {
+  return q.svaqd != nullptr ? 1u : (q.cnf != nullptr ? 2u : 0u);
 }
 
 }  // namespace
@@ -590,10 +574,8 @@ StatusOr<int64_t> Server::AddStandingQuery(const std::string& sql) {
     // Log-before-apply: a crash right after this append replays the
     // admission; a crash right before it loses a query that was never
     // acknowledged to the caller.
-    ckpt::Payload wal;
-    wal.PutI64(id);
-    wal.PutString(sql);
-    VAQ_RETURN_IF_ERROR(AppendWalLocked(kWalAddQuery, wal));
+    VAQ_RETURN_IF_ERROR(
+        AppendWalLocked(FrameWal(kWalAddQuery, WalAddQuery{id, sql})));
   }
   ++next_id_;
   VAQ_RETURN_IF_ERROR(AdmitStandingLocked(id, sql, std::move(stmt)));
@@ -728,10 +710,7 @@ Status Server::WalTornAdvance(const std::string& source) {
     return Status::OutOfRange("stream '" + source + "' is exhausted (" +
                               std::to_string(num_clips) + " clips)");
   }
-  ckpt::Payload wal;
-  wal.PutString(source);
-  wal.PutI64(pos);
-  return AppendWalLocked(kWalClip, wal);
+  return AppendWalLocked(FrameWal(kWalClip, WalClip{source, pos}));
 }
 
 Status Server::AdvanceStreamLocked(const std::string& source) {
@@ -752,10 +731,8 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
   if (options_.checkpoint_store != nullptr && !replaying_) {
     // Log-before-apply, clip granularity: after a crash the replay
     // re-runs this advance on engines restored to exactly this position.
-    ckpt::Payload wal;
-    wal.PutString(source);
-    wal.PutI64(pos);
-    VAQ_RETURN_IF_ERROR(AppendWalLocked(kWalClip, wal));
+    VAQ_RETURN_IF_ERROR(
+        AppendWalLocked(FrameWal(kWalClip, WalClip{source, pos})));
   }
   double advance_ms = 0.0;
   for (const std::unique_ptr<StandingQuery>& owner : standing_) {
@@ -894,9 +871,7 @@ int64_t Server::StreamPosition(const std::string& source) const {
   return it == stream_pos_.end() ? 0 : it->second;
 }
 
-Status Server::AppendWalLocked(uint32_t tag, const ckpt::Payload& payload) {
-  std::string record;
-  ckpt::AppendRecord(&record, tag, payload.data());
+Status Server::AppendWalLocked(const std::string& record) {
   // Segment wal-K collects the records logged while the next snapshot
   // will be snap-K; recovery from snap-S replays segments K > S.
   VAQ_RETURN_IF_ERROR(
@@ -921,112 +896,25 @@ Status Server::CheckpointLocked() {
   if (store == nullptr) {
     return Status::FailedPrecondition("no checkpoint store configured");
   }
-  ckpt::Serializer snap;
-  // Record order is load-bearing: recovery applies records in blob order,
-  // and rebuilding the standing queries (kSnapStanding) bumps admission
-  // counters and cache accounting as a side effect — the authoritative
-  // values (kSnapCacheCounters, kSnapMeta, kSnapMetric) therefore come
-  // *after* and overwrite them.
-  for (const std::unique_ptr<StandingQuery>& owner : standing_) {
-    const StandingQuery& q = *owner;
-    ckpt::Payload p;
-    p.PutI64(q.id);
-    p.PutString(q.sql);
-    EncodeStatus(q.status, &p);
-    p.PutBool(q.finished);
-    const uint32_t kind = q.svaqd != nullptr ? 1u : (q.cnf != nullptr ? 2u : 0u);
-    p.PutU32(kind);
-    std::string engine_blob;
-    if (q.svaqd != nullptr) {
-      engine_blob = q.svaqd->SnapshotState();
-    } else if (q.cnf != nullptr) {
-      engine_blob = q.cnf->SnapshotState();
-    }
-    p.PutString(engine_blob);
-    EncodeModelStats(q.det_acc, &p);
-    EncodeModelStats(q.rec_acc, &p);
-    // Cascade pruning is an accumulator, not derivable from the engine
-    // blob: the plan (thresholds, surviving set) is replanned
-    // deterministically at admission, but clips pruned before this
-    // snapshot would otherwise be forgotten by a recovered session.
-    p.PutI64(q.clips_pruned);
-    snap.Append(kSnapStanding, p);
-  }
-  for (const auto& [source, pos] : stream_pos_) {
-    ckpt::Payload p;
-    p.PutString(source);
-    p.PutI64(pos);
-    snap.Append(kSnapStreamPos, p);
-  }
-  if (options_.share_detection_cache) {
-    cache_.ForEach([&snap](const std::string& source, const std::string& stack,
-                           detect::ModelBundle* bundle) {
-      ckpt::Payload p;
-      p.PutBool(false);  // Shared: addressed by (source, stack).
-      p.PutString(source);
-      p.PutString(stack);
-      EncodeBundleStats(*bundle, &p);
-      snap.Append(kSnapBundleStats, p);
-    });
-  } else {
-    for (const std::unique_ptr<StandingQuery>& owner : standing_) {
-      const StandingQuery& q = *owner;
-      if (q.models != &q.owned_models || q.models == nullptr) continue;
-      ckpt::Payload p;
-      p.PutBool(true);  // Owned: addressed by the query id.
-      p.PutI64(q.id);
-      EncodeBundleStats(q.owned_models, &p);
-      snap.Append(kSnapBundleStats, p);
-    }
-  }
-  {
-    ckpt::Payload p;
-    p.PutI64(cache_.bundles_created());
-    p.PutI64(cache_.bundle_reuses());
-    snap.Append(kSnapCacheCounters, p);
-  }
-  {
-    ckpt::Payload p;
-    p.PutI64(next_id_);
-    p.PutI64(ckpt_seq_);
-    p.PutI64(stats_.accepted);
-    p.PutI64(stats_.rejected_overflow);
-    p.PutI64(stats_.rejected_parse);
-    p.PutI64(stats_.rejected_unknown_source);
-    p.PutI64(stats_.completed);
-    p.PutI64(stats_.failed);
-    p.PutF64(stats_.total_simulated_ms);
-    snap.Append(kSnapMeta, p);
-  }
-  // Every registry instrument except the checkpoint subsystem's own
-  // families: restoring those would mask the corruption/recovery counts
-  // the *recovering* process accumulates while reading this very blob.
-  // Skipped entirely when the registry is shared beyond this server
-  // (ServeOptions::snapshot_metrics == false).
-  if (options_.snapshot_metrics) {
-    const obs::Snapshot metrics = obs::MetricRegistry::Global().TakeSnapshot();
-    for (const obs::Snapshot::Entry& entry : metrics.entries) {
-      if (entry.name.rfind("vaq_ckpt_", 0) == 0) continue;
-      ckpt::Payload p;
-      ckpt::EncodeMetricEntry(entry, &p);
-      snap.Append(kSnapMetric, p);
-    }
-  }
-  const std::string& blob = snap.blob();
+  ckpt::Archive snap;
+  PersistLocked(snap);
+  const std::string blob = std::move(snap).TakeBytes();
   VAQ_RETURN_IF_ERROR(store->Put(ckpt::SnapshotName(ckpt_seq_), blob));
-  // Keep this snapshot, its predecessor (the corruption fallback) and
-  // the WAL segment spanning the two — falling back to snap-(S-1) needs
-  // wal-S to reach snap-S's state. Everything older goes.
+  // Keep this snapshot, the fallback F (the newest snapshot known good:
+  // usually this one's predecessor, after a recovery the one restored)
+  // and the WAL segments after F, which roll it forward to this state.
+  // Everything else goes, including snapshots a recovery rejected.
   auto listed = store->List();
   if (listed.ok()) {
     for (const std::string& name : *listed) {
       auto snap_seq = ckpt::SnapshotSeq(name);
-      if (snap_seq.ok() && *snap_seq < ckpt_seq_ - 1) {
+      if (snap_seq.ok() && *snap_seq != ckpt_seq_ &&
+          *snap_seq != ckpt_fallback_seq_) {
         VAQ_RETURN_IF_ERROR(store->Delete(name));
         continue;
       }
       auto wal_seq = ckpt::WalSeq(name);
-      if (wal_seq.ok() && *wal_seq < ckpt_seq_) {
+      if (wal_seq.ok() && *wal_seq <= ckpt_fallback_seq_) {
         VAQ_RETURN_IF_ERROR(store->Delete(name));
       }
     }
@@ -1042,7 +930,7 @@ Status Server::CheckpointLocked() {
     snap_ctx.AddStat("snapshots", 1);
     snap_ctx.AddStat("bytes", static_cast<int64_t>(blob.size()));
   }
-  ++ckpt_seq_;
+  ckpt_fallback_seq_ = ckpt_seq_++;
   clips_since_snapshot_ = 0;
   sim_ms_since_snapshot_ = 0.0;
   return Status::OK();
@@ -1060,15 +948,37 @@ StatusOr<ckpt::RecoveryReport> Server::Recover() {
   replaying_ = true;
   ckpt::RecoveryDriver driver(options_.checkpoint_store, options_.fault_plan);
   ckpt::RecoveryHooks hooks;
-  hooks.restore = [this](uint32_t version,
+  hooks.restore = [this](uint32_t /*version*/,
                          const std::vector<ckpt::Record>& records) {
-    return RestoreBlobLocked(version, records);
+    ckpt::Archive ar(records);
+    PersistLocked(ar);
+    return ar.status();
   };
   hooks.replay = [this](const ckpt::Record& record) {
     return ReplayWalLocked(record);
   };
   auto report = driver.Run(hooks);
   replaying_ = false;
+  if (report.ok()) {
+    // Resume past every snapshot in the store and at its newest WAL
+    // segment, not past the restored snapshot: after a fallback over a
+    // corrupt snap-S, restored + 1 would reuse the name snap-S and append
+    // to a segment the fallback replayed ahead of newer ones. Segment
+    // wal-(S+1) belongs to the next snapshot, so new records continue it.
+    VAQ_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                         options_.checkpoint_store->List());
+    for (const std::string& name : names) {
+      if (auto seq = ckpt::SnapshotSeq(name); seq.ok()) {
+        ckpt_seq_ = std::max(ckpt_seq_, *seq + 1);
+      } else if (auto wal = ckpt::WalSeq(name); wal.ok()) {
+        ckpt_seq_ = std::max(ckpt_seq_, *wal);
+      }
+    }
+    if (!report->snapshot.empty()) {
+      VAQ_ASSIGN_OR_RETURN(ckpt_fallback_seq_,
+                           ckpt::SnapshotSeq(report->snapshot));
+    }
+  }
   if (report.ok() && session_trace_ != nullptr) {
     const obs::QueryContext rec =
         obs::QueryContext{session_trace_.get(), 0}.Child("recover");
@@ -1081,173 +991,221 @@ StatusOr<ckpt::RecoveryReport> Server::Recover() {
   return report;
 }
 
-Status Server::RestoreBlobLocked(uint32_t /*version*/,
-                                 const std::vector<ckpt::Record>& records) {
-  for (const ckpt::Record& record : records) {
-    ckpt::PayloadReader in(record.payload);
-    switch (record.tag) {
-      case kSnapStanding: {
-        int64_t id = 0;
-        std::string sql;
-        Status saved_status;
-        bool finished = false;
-        uint32_t kind = 0;
-        std::string engine_blob;
-        detect::ModelStats det_acc, rec_acc;
-        int64_t clips_pruned = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&id));
-        VAQ_RETURN_IF_ERROR(in.GetString(&sql));
-        VAQ_RETURN_IF_ERROR(DecodeStatus(&in, &saved_status));
-        VAQ_RETURN_IF_ERROR(in.GetBool(&finished));
-        VAQ_RETURN_IF_ERROR(in.GetU32(&kind));
-        VAQ_RETURN_IF_ERROR(in.GetString(&engine_blob));
-        VAQ_RETURN_IF_ERROR(DecodeModelStats(&in, &det_acc));
-        VAQ_RETURN_IF_ERROR(DecodeModelStats(&in, &rec_acc));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&clips_pruned));
-        auto parsed = query::Parse(sql);
-        if (!parsed.ok()) {
-          return Status::Corruption("unparsable standing query in snapshot: " +
-                                    parsed.status().ToString());
-        }
-        VAQ_RETURN_IF_ERROR(
-            AdmitStandingLocked(id, sql, std::move(parsed).value()));
-        StandingQuery& q = *standing_.back();
-        const uint32_t rebuilt =
-            q.svaqd != nullptr ? 1u : (q.cnf != nullptr ? 2u : 0u);
-        if (rebuilt != kind) {
-          return Status::Corruption(
-              "engine kind mismatch for standing query #" +
-              std::to_string(id) +
-              " (were the registrations changed since the snapshot?)");
-        }
-        if (q.svaqd != nullptr) {
-          VAQ_RETURN_IF_ERROR(q.svaqd->RestoreState(engine_blob));
-        } else if (q.cnf != nullptr) {
-          VAQ_RETURN_IF_ERROR(q.cnf->RestoreState(engine_blob));
-        }
-        q.status = saved_status;
-        q.finished = finished;
-        q.det_acc = det_acc;
-        q.rec_acc = rec_acc;
-        q.clips_pruned = clips_pruned;
-        next_id_ = std::max(next_id_, id + 1);
-        break;
-      }
-      case kSnapStreamPos: {
-        std::string source;
-        int64_t pos = 0;
-        VAQ_RETURN_IF_ERROR(in.GetString(&source));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&pos));
-        stream_pos_[source] = pos;
-        break;
-      }
-      case kSnapBundleStats: {
-        bool owned = false;
-        VAQ_RETURN_IF_ERROR(in.GetBool(&owned));
-        detect::ModelBundle* bundle = nullptr;
-        if (owned) {
-          int64_t id = 0;
-          VAQ_RETURN_IF_ERROR(in.GetI64(&id));
-          for (const std::unique_ptr<StandingQuery>& q : standing_) {
-            if (q->id == id && q->models == &q->owned_models) {
-              bundle = &q->owned_models;
-              break;
-            }
-          }
-        } else {
-          std::string source, stack;
-          VAQ_RETURN_IF_ERROR(in.GetString(&source));
-          VAQ_RETURN_IF_ERROR(in.GetString(&stack));
-          bundle = cache_.Find(source, stack);
-        }
-        if (bundle == nullptr) {
-          return Status::Corruption(
-              "snapshot references a model bundle the rebuilt session "
-              "does not have");
-        }
-        VAQ_RETURN_IF_ERROR(DecodeBundleStats(&in, bundle));
-        break;
-      }
-      case kSnapCacheCounters: {
-        int64_t created = 0, reuses = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&created));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&reuses));
-        cache_.RestoreCounters(created, reuses);
-        break;
-      }
-      case kSnapMeta: {
-        int64_t next_id = 0, seq = 0;
-        VAQ_RETURN_IF_ERROR(in.GetI64(&next_id));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&seq));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.accepted));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_overflow));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_parse));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.rejected_unknown_source));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.completed));
-        VAQ_RETURN_IF_ERROR(in.GetI64(&stats_.failed));
-        VAQ_RETURN_IF_ERROR(in.GetF64(&stats_.total_simulated_ms));
-        next_id_ = std::max(next_id_, next_id);
-        ckpt_seq_ = seq + 1;
-        break;
-      }
-      case kSnapMetric: {
-        obs::Snapshot::Entry entry;
-        VAQ_RETURN_IF_ERROR(ckpt::DecodeMetricEntry(&in, &entry));
-        obs::Snapshot one;
-        one.entries.push_back(std::move(entry));
-        obs::RestoreSnapshot(one);
-        break;
-      }
-      default:
-        break;  // A newer writer's record type: skip (forward compat).
+void Server::PersistLocked(ckpt::Archive& ar) {
+  // Record order is the format and load-bearing: loading applies records
+  // in blob order, and rebuilding the standing queries (kSnapStanding)
+  // bumps admission counters and cache accounting as a side effect — the
+  // authoritative values (kSnapCacheCounters, kSnapMeta, kSnapMetric)
+  // therefore come *after* and overwrite them.
+  if (!ar.loading()) {
+    for (const std::unique_ptr<StandingQuery>& q : standing_) {
+      ar.Record(kSnapStanding, [&] { PersistStandingLocked(ar, q.get()); });
+    }
+  } else {
+    while (ar.Record(kSnapStanding,
+                     [&] { PersistStandingLocked(ar, nullptr); })) {
     }
   }
-  return Status::OK();
+
+  std::string source;
+  int64_t pos = 0;
+  const auto stream_pos = [&] {
+    ar.String(source);
+    ar.I64(pos);
+  };
+  if (!ar.loading()) {
+    for (const auto& [name, at] : stream_pos_) {
+      source = name;
+      pos = at;
+      ar.Record(kSnapStreamPos, stream_pos);
+    }
+  } else {
+    while (ar.Record(kSnapStreamPos, stream_pos)) stream_pos_[source] = pos;
+  }
+
+  // A bundle is addressed by the query id when a query owns it, by
+  // (source, stack) when the shared cache does.
+  bool owned = false;
+  int64_t owner_id = 0;
+  std::string stack;
+  detect::ModelBundle* bundle = nullptr;
+  const auto bundle_stats = [&] {
+    ar.Bool(owned);
+    if (owned) {
+      ar.I64(owner_id);
+    } else {
+      ar.String(source);
+      ar.String(stack);
+    }
+    if (ar.loading()) {
+      bundle = nullptr;
+      if (owned) {
+        for (const std::unique_ptr<StandingQuery>& q : standing_) {
+          if (q->id == owner_id && q->models == &q->owned_models) {
+            bundle = &q->owned_models;
+            break;
+          }
+        }
+      } else {
+        bundle = cache_.Find(source, stack);
+      }
+    }
+    if (bundle == nullptr) {
+      ar.Fail(Status::Corruption("snapshot references a model bundle the "
+                                 "rebuilt session does not have"));
+      return;
+    }
+    PersistBundleStats(ar, *bundle);
+  };
+  if (ar.loading()) {
+    while (ar.Record(kSnapBundleStats, bundle_stats)) {
+    }
+  } else if (options_.share_detection_cache) {
+    cache_.ForEach([&](const std::string& cached_source,
+                       const std::string& cached_stack,
+                       detect::ModelBundle* cached) {
+      owned = false;
+      source = cached_source;
+      stack = cached_stack;
+      bundle = cached;
+      ar.Record(kSnapBundleStats, bundle_stats);
+    });
+  } else {
+    for (const std::unique_ptr<StandingQuery>& q : standing_) {
+      if (q->models != &q->owned_models) continue;
+      owned = true;
+      owner_id = q->id;
+      bundle = &q->owned_models;
+      ar.Record(kSnapBundleStats, bundle_stats);
+    }
+  }
+
+  ar.Record(kSnapCacheCounters, [&] { cache_.PersistCounters(ar); });
+  ar.Record(kSnapMeta, [&] {
+    int64_t next_id = next_id_;
+    // Loading ignores the saved sequence: Recover resumes numbering past
+    // every name in the store.
+    int64_t seq = ckpt_seq_;
+    ar.I64(next_id);
+    ar.I64(seq);
+    ar.I64(stats_.accepted);
+    ar.I64(stats_.rejected_overflow);
+    ar.I64(stats_.rejected_parse);
+    ar.I64(stats_.rejected_unknown_source);
+    ar.I64(stats_.completed);
+    ar.I64(stats_.failed);
+    ar.F64(stats_.total_simulated_ms);
+    next_id_ = std::max(next_id_, next_id);
+  });
+
+  // Every registry instrument except the checkpoint subsystem's own
+  // families: restoring those would mask the corruption/recovery counts
+  // the *recovering* process accumulates while reading this very blob.
+  // Not saved at all when the registry is shared beyond this server
+  // (ServeOptions::snapshot_metrics == false).
+  if (!ar.loading()) {
+    if (!options_.snapshot_metrics) return;
+    obs::Snapshot metrics = obs::MetricRegistry::Global().TakeSnapshot();
+    for (obs::Snapshot::Entry& entry : metrics.entries) {
+      if (entry.name.rfind("vaq_ckpt_", 0) == 0) continue;
+      ar.Record(kSnapMetric, [&] { entry.Persist(ar); });
+    }
+  } else {
+    obs::Snapshot metrics;
+    while (ar.Record(kSnapMetric,
+                     [&] { metrics.entries.emplace_back().Persist(ar); })) {
+    }
+    if (ar.ok()) obs::RestoreSnapshot(metrics);
+  }
+}
+
+void Server::PersistStandingLocked(ckpt::Archive& ar, StandingQuery* q) {
+  int64_t id = 0;
+  std::string sql;
+  ar.I64(q != nullptr ? q->id : id);
+  ar.String(q != nullptr ? q->sql : sql);
+  if (q == nullptr) {
+    // Loading: rebuild the query — engine, models, cascade plan — from its
+    // SQL, then read the rest of the record into it.
+    if (!ar.ok()) return;
+    auto parsed = query::Parse(sql);
+    if (!parsed.ok()) {
+      ar.Fail(Status::Corruption("unparsable standing query in snapshot: " +
+                                 parsed.status().ToString()));
+      return;
+    }
+    const Status admitted =
+        AdmitStandingLocked(id, sql, std::move(parsed).value());
+    if (!admitted.ok()) {
+      ar.Fail(admitted);
+      return;
+    }
+    q = standing_.back().get();
+    next_id_ = std::max(next_id_, id + 1);
+  }
+  PersistStatus(ar, q->status);
+  ar.Bool(q->finished);
+  uint32_t kind = EngineKind(*q);
+  ar.U32(kind);
+  if (kind != EngineKind(*q)) {
+    ar.Fail(Status::Corruption(
+        "engine kind mismatch for standing query #" + std::to_string(q->id) +
+        " (were the registrations changed since the snapshot?)"));
+    return;
+  }
+  if (q->svaqd != nullptr) {
+    ar.Blob([&] { q->svaqd->Persist(ar); });
+  } else if (q->cnf != nullptr) {
+    ar.Blob([&] { q->cnf->Persist(ar); });
+  } else {
+    std::string no_engine;
+    ar.String(no_engine);
+  }
+  q->det_acc.Persist(ar);
+  q->rec_acc.Persist(ar);
+  // Cascade pruning is an accumulator, not derivable from the engine
+  // state: the plan (thresholds, surviving set) is replanned
+  // deterministically at admission, but clips pruned before this
+  // snapshot would otherwise be forgotten by a recovered session.
+  ar.I64(q->clips_pruned);
 }
 
 Status Server::ReplayWalLocked(const ckpt::Record& record) {
-  ckpt::PayloadReader in(record.payload);
-  switch (record.tag) {
-    case kWalAddQuery: {
-      int64_t id = 0;
-      std::string sql;
-      VAQ_RETURN_IF_ERROR(in.GetI64(&id));
-      VAQ_RETURN_IF_ERROR(in.GetString(&sql));
-      for (const std::unique_ptr<StandingQuery>& q : standing_) {
-        if (q->id == id) return Status::OK();  // Snapshot already has it.
-      }
-      if (id != next_id_) {
-        return Status::Corruption("WAL admission out of order: got #" +
-                                  std::to_string(id) + ", expected #" +
-                                  std::to_string(next_id_));
-      }
-      auto parsed = query::Parse(sql);
-      if (!parsed.ok()) {
-        return Status::Corruption("unparsable standing query in WAL: " +
-                                  parsed.status().ToString());
-      }
-      next_id_ = id + 1;
-      return AdmitStandingLocked(id, sql, std::move(parsed).value());
+  ckpt::Archive ar(std::span<const ckpt::Record>(&record, 1));
+  WalAddQuery add;
+  if (ar.Record(kWalAddQuery, [&] { add.Persist(ar); })) {
+    VAQ_RETURN_IF_ERROR(ar.status());
+    for (const std::unique_ptr<StandingQuery>& q : standing_) {
+      if (q->id == add.id) return Status::OK();  // Snapshot already has it.
     }
-    case kWalClip: {
-      std::string source;
-      int64_t clip = 0;
-      VAQ_RETURN_IF_ERROR(in.GetString(&source));
-      VAQ_RETURN_IF_ERROR(in.GetI64(&clip));
-      auto it = stream_pos_.find(source);
-      const int64_t pos = it == stream_pos_.end() ? 0 : it->second;
-      if (clip < pos) return Status::OK();  // Snapshot already covers it.
-      if (clip > pos) {
-        return Status::Corruption(
-            "WAL gap on stream '" + source + "': log resumes at clip " +
-            std::to_string(clip) + " but the snapshot ends at " +
-            std::to_string(pos));
-      }
-      return AdvanceStreamLocked(source);
+    if (add.id != next_id_) {
+      return Status::Corruption("WAL admission out of order: got #" +
+                                std::to_string(add.id) + ", expected #" +
+                                std::to_string(next_id_));
     }
-    default:
-      return Status::OK();  // A newer writer's record type: skip.
+    auto parsed = query::Parse(add.sql);
+    if (!parsed.ok()) {
+      return Status::Corruption("unparsable standing query in WAL: " +
+                                parsed.status().ToString());
+    }
+    next_id_ = add.id + 1;
+    return AdmitStandingLocked(add.id, add.sql, std::move(parsed).value());
   }
+  WalClip clip;
+  if (ar.Record(kWalClip, [&] { clip.Persist(ar); })) {
+    VAQ_RETURN_IF_ERROR(ar.status());
+    auto it = stream_pos_.find(clip.source);
+    const int64_t pos = it == stream_pos_.end() ? 0 : it->second;
+    if (clip.clip < pos) return Status::OK();  // Snapshot already covers it.
+    if (clip.clip > pos) {
+      return Status::Corruption(
+          "WAL gap on stream '" + clip.source + "': log resumes at clip " +
+          std::to_string(clip.clip) + " but the snapshot ends at " +
+          std::to_string(pos));
+    }
+    return AdvanceStreamLocked(clip.source);
+  }
+  return Status::OK();  // A newer writer's record type: skip.
 }
 
 double ModeledMakespanMs(const std::vector<ServedQuery>& queries,

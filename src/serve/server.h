@@ -369,9 +369,15 @@ class Server {
                                    const StreamSource& source);
   Status AdvanceStreamLocked(const std::string& source);
   Status CheckpointLocked();
-  Status AppendWalLocked(uint32_t tag, const ckpt::Payload& payload);
-  Status RestoreBlobLocked(uint32_t version,
-                           const std::vector<ckpt::Record>& records);
+  // Checkpoint body of the standing session (ckpt::Archive, DESIGN.md
+  // §10): CheckpointLocked saves it, Recover loads it into a fresh
+  // server.
+  void PersistLocked(ckpt::Archive& ar);
+  // One standing query's record; loading passes null and admits the
+  // query it reads.
+  void PersistStandingLocked(ckpt::Archive& ar, StandingQuery* q);
+  // Appends one framed WAL record to the current segment.
+  Status AppendWalLocked(const std::string& record);
   Status ReplayWalLocked(const ckpt::Record& record);
 
   const ServeOptions options_;
@@ -412,6 +418,10 @@ class Server {
   std::map<std::string, cascade::ProxySet> proxies_;
   std::map<std::string, int64_t> stream_pos_;  // Clips advanced per source.
   int64_t ckpt_seq_ = 0;               // Next snapshot sequence number.
+  // The newest snapshot known to be good — the last one written, or the
+  // one Recover restored (never one it rejected); -1 = none. Retention
+  // keeps it as the corruption fallback.
+  int64_t ckpt_fallback_seq_ = -1;
   int64_t clips_since_snapshot_ = 0;   // Snapshot-policy accumulators.
   double sim_ms_since_snapshot_ = 0.0;
   bool standing_finished_ = false;

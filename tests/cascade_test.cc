@@ -156,22 +156,28 @@ TEST(CascadeStoreTest, SaveLoadRoundtrip) {
 // A checksum-valid proxy blob whose one column claims 2^32 - 1 scores:
 // the loader must reject the count before allocating for it.
 TEST(CascadeStoreTest, ColumnLengthBeyondTheRecordIsCorruption) {
-  ckpt::Payload header;
-  header.PutString("v0");
-  header.PutI64(4);    // Clips.
-  header.PutF64(8.0);  // Frames per clip.
-  header.PutF64(1.0);  // Shots per clip.
-  header.PutU64(99);   // Fingerprint.
-  header.PutU32(1);    // Columns.
-  ckpt::Payload column;
-  column.PutString("dog");
-  column.PutU32(0xFFFFFFFFu);  // Scores.
-  column.PutF64(0.5);
-  ckpt::Serializer serializer;
-  serializer.Append(/*tag=*/1, header);
-  serializer.Append(/*tag=*/2, column);
+  const std::string blob = ckpt::SaveBlob([](ckpt::Archive& ar) {
+    std::string video = "v0", concept_name = "dog";
+    int64_t clips = 4;
+    double frames_per_clip = 8.0, shots_per_clip = 1.0, score = 0.5;
+    uint64_t fingerprint = 99;
+    uint32_t columns = 1, scores = 0xFFFFFFFFu;
+    ar.Record(/*tag=*/1, [&] {
+      ar.String(video);
+      ar.I64(clips);
+      ar.F64(frames_per_clip);
+      ar.F64(shots_per_clip);
+      ar.U64(fingerprint);
+      ar.U32(columns);
+    });
+    ar.Record(/*tag=*/2, [&] {
+      ar.String(concept_name);
+      ar.U32(scores);
+      ar.F64(score);
+    });
+  });
   ckpt::MemStore store;
-  ASSERT_TRUE(store.Put(ProxyEntryName("v0"), serializer.blob()).ok());
+  ASSERT_TRUE(store.Put(ProxyEntryName("v0"), blob).ok());
   EXPECT_EQ(LoadProxyIndex(store, "v0", 99).status().code(),
             StatusCode::kCorruption);
 }

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -26,19 +27,32 @@ namespace {
 
 // One record per payload field type, one raw record, and one record
 // whose tag no current reader knows — the forward-compat case.
+// The fields of record 1: one of each field type.
+struct GoldenFields {
+  uint32_t u32 = 7;
+  uint64_t u64 = 0x1122334455667788ull;
+  int64_t i64 = -9;
+  double f64 = 0.5;
+  bool b = true;
+  std::string s = "golden";
+
+  void Persist(Archive& ar) {
+    ar.U32(u32);
+    ar.U64(u64);
+    ar.I64(i64);
+    ar.F64(f64);
+    ar.Bool(b);
+    ar.String(s);
+  }
+};
+
 std::string CanonicalV1Blob() {
-  Payload fields;
-  fields.PutU32(7);
-  fields.PutU64(0x1122334455667788ull);
-  fields.PutI64(-9);
-  fields.PutF64(0.5);
-  fields.PutBool(true);
-  fields.PutString("golden");
-  Serializer serializer;
-  serializer.Append(/*tag=*/1, fields);
-  serializer.Append(/*tag=*/2, "raw");
-  serializer.Append(/*tag=*/0xFFFFu, "future record type");
-  return serializer.blob();
+  GoldenFields fields;
+  std::string blob =
+      SaveBlob([&](Archive& ar) { ar.Record(1, [&] { fields.Persist(ar); }); });
+  AppendRecord(&blob, /*tag=*/2, "raw");
+  AppendRecord(&blob, /*tag=*/0xFFFFu, "future record type");
+  return blob;
 }
 
 std::string Hex(const std::string& bytes) {
@@ -96,26 +110,18 @@ TEST(CkptGoldenTest, GoldenBytesStillDecode) {
   Record record;
   ASSERT_TRUE(reader.value().Next(&record).ok());
   EXPECT_EQ(record.tag, 1u);
-  PayloadReader in(record.payload);
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  int64_t i64 = 0;
-  double f64 = 0;
-  bool b = false;
-  std::string s;
-  ASSERT_TRUE(in.GetU32(&u32).ok());
-  ASSERT_TRUE(in.GetU64(&u64).ok());
-  ASSERT_TRUE(in.GetI64(&i64).ok());
-  ASSERT_TRUE(in.GetF64(&f64).ok());
-  ASSERT_TRUE(in.GetBool(&b).ok());
-  ASSERT_TRUE(in.GetString(&s).ok());
-  EXPECT_EQ(u32, 7u);
-  EXPECT_EQ(u64, 0x1122334455667788ull);
-  EXPECT_EQ(i64, -9);
-  EXPECT_EQ(f64, 0.5);
-  EXPECT_TRUE(b);
-  EXPECT_EQ(s, "golden");
-  EXPECT_EQ(in.remaining(), 0u);
+  GoldenFields got{0, 0, 0, 0.0, false, ""};
+  Archive in(std::span<const Record>(&record, 1));
+  EXPECT_TRUE(in.Record(1, [&] { got.Persist(in); }));
+  ASSERT_TRUE(in.ok()) << in.status();
+  EXPECT_EQ(got.u32, 7u);
+  EXPECT_EQ(got.u64, 0x1122334455667788ull);
+  EXPECT_EQ(got.i64, -9);
+  EXPECT_EQ(got.f64, 0.5);
+  EXPECT_TRUE(got.b);
+  EXPECT_EQ(got.s, "golden");
+  // 4 + 8 + 8 + 8 + 1 + (4 + 6) bytes: nothing left over.
+  EXPECT_EQ(record.payload.size(), 39u);
 
   ASSERT_TRUE(reader.value().Next(&record).ok());
   EXPECT_EQ(record.tag, 2u);

@@ -8,6 +8,7 @@
 // MemStore or an on-disk DirStore, and even when the newest snapshot is
 // itself corrupt (fallback to the previous one plus a longer replay).
 // Runs under ThreadSanitizer and the VAQ_SANITIZE configuration.
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -397,6 +398,134 @@ TEST(CkptRecoveryTest, EmptyStoreRecoversToColdStartAndRunsNormally) {
       tools::DriveStandingDemo(server.value().get(), spec, kTotalAdvances)
           .ok());
   EXPECT_EQ(server.value()->FinishStanding().size(), 6u);
+}
+
+// The snapshot entry names in `store`, in sequence order.
+std::vector<std::string> SnapshotNames(const ckpt::Store& store) {
+  const std::vector<std::string> names = store.List().value();
+  std::vector<std::string> snaps;
+  for (const std::string& name : names) {
+    if (ckpt::SnapshotSeq(name).ok()) snaps.push_back(name);
+  }
+  return snaps;
+}
+
+// Every piece of state a snapshot restores must reach the next snapshot,
+// including the resilience wrappers' retry/breaker state of engines that
+// have not yet pushed a clip since the restore: a recovered server that
+// checkpoints before any advance writes back the records it restored,
+// byte for byte, except for its own sequence number.
+TEST(CkptRecoveryTest, SnapshotAfterRecoveryRewritesTheRestoredRecords) {
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), /*seed=*/21);
+  ckpt::MemStore store;
+  const tools::StandingDemoSpec spec = DemoSpec(&store, &plan, true);
+  // Snapshots land every 7 advances: crash right after the second one.
+  ASSERT_TRUE(RunUntilCrash(spec, 2 * kSnapshotEvery).ok());
+  const std::vector<std::string> before = SnapshotNames(store);
+  ASSERT_FALSE(before.empty());
+  const std::string restored_name = before.back();
+
+  obs::MetricRegistry::Global().Reset();
+  auto server = tools::MakeStandingDemoServer(spec);
+  ASSERT_TRUE(server.ok());
+  const auto report = server.value()->Recover();
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report.value().snapshot, restored_name);
+  EXPECT_EQ(report.value().wal_records, 0);
+  ASSERT_TRUE(server.value()->Checkpoint().ok());
+  const std::string rewritten_name = SnapshotNames(store).back();
+  ASSERT_NE(rewritten_name, restored_name);
+
+  const auto restored = ckpt::ParseBlob(store.Get(restored_name).value());
+  const auto rewritten = ckpt::ParseBlob(store.Get(rewritten_name).value());
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE(rewritten.ok());
+  ASSERT_EQ(rewritten.value().size(), restored.value().size());
+  constexpr uint32_t kSnapMeta = 5;
+  constexpr size_t kSeqOffset = 8;  // next_id:i64, then seq:i64.
+  int standing_records = 0;
+  for (size_t i = 0; i < restored.value().size(); ++i) {
+    const ckpt::Record& want = restored.value()[i];
+    const ckpt::Record& got = rewritten.value()[i];
+    ASSERT_EQ(got.tag, want.tag) << "record " << i;
+    if (want.tag == 1) ++standing_records;
+    if (want.tag == kSnapMeta) {
+      ASSERT_EQ(got.payload.size(), want.payload.size());
+      EXPECT_EQ(got.payload.substr(0, kSeqOffset),
+                want.payload.substr(0, kSeqOffset));
+      EXPECT_EQ(got.payload.substr(kSeqOffset + 8),
+                want.payload.substr(kSeqOffset + 8));
+      continue;
+    }
+    EXPECT_EQ(got.payload.size(), want.payload.size()) << "record " << i;
+    EXPECT_TRUE(got.payload == want.payload) << "record " << i;
+  }
+  EXPECT_EQ(standing_records, 6);
+}
+
+// Crashes after 17 advances (leaving snap-0, snap-1, wal-1, wal-2),
+// optionally corrupts snap-1, then recovers and checkpoints before any
+// advance and crashes again. The new snapshot must take a name above
+// every snapshot from before, the snapshot recovery restored must stay
+// beside it as the fallback (a rejected one must not), and a third
+// process must recover byte-identically from either of the two.
+void CheckCheckpointAfterRecovery(bool corrupt_newest) {
+  ckpt::MemStore ref_store;
+  const auto reference = RunUninterrupted(DemoSpec(&ref_store, nullptr, true));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  ckpt::MemStore store;
+  const tools::StandingDemoSpec spec = DemoSpec(&store, nullptr, true);
+  ASSERT_TRUE(RunUntilCrash(spec, 17).ok());
+  const std::vector<std::string> before = SnapshotNames(store);
+  ASSERT_EQ(before.size(), 2u);
+  if (corrupt_newest) {
+    ASSERT_TRUE(ckpt::CorruptEntryByte(&store, before.back(), 40, 0x10).ok());
+  }
+
+  obs::MetricRegistry::Global().Reset();
+  std::string restored;
+  {
+    auto server = tools::MakeStandingDemoServer(spec);
+    ASSERT_TRUE(server.ok());
+    const auto report = server.value()->Recover();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report.value().snapshots_rejected, corrupt_newest ? 1 : 0);
+    EXPECT_GT(report.value().wal_records, 0);
+    restored = report.value().snapshot;
+    EXPECT_EQ(restored, corrupt_newest ? before.front() : before.back());
+    ASSERT_TRUE(server.value()->Checkpoint().ok());
+  }  // Second crash.
+  const std::vector<std::string> after = SnapshotNames(store);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after.front(), restored);
+  const std::string checkpoint = after.back();
+  EXPECT_GT(*ckpt::SnapshotSeq(checkpoint), *ckpt::SnapshotSeq(before.back()));
+
+  ckpt::MemStore intact = store;
+  ASSERT_TRUE(ckpt::CorruptEntryByte(&store, checkpoint, 40, 0x10).ok());
+  for (ckpt::MemStore* third : {&intact, &store}) {
+    const bool fallback = third == &store;
+    const auto recovered = RecoverAndFinish(DemoSpec(third, nullptr, true));
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(recovered.value().report.snapshot,
+              fallback ? restored : checkpoint);
+    EXPECT_EQ(recovered.value().report.snapshots_rejected, fallback ? 1 : 0);
+    EXPECT_EQ(recovered.value().run.described, reference.value().described);
+    EXPECT_EQ(recovered.value().run.metrics, reference.value().metrics);
+  }
+}
+
+// A recovery that replays WAL records resumes the consecutive numbering,
+// and its first checkpoint keeps the restored snapshot as the fallback.
+TEST(CkptRecoveryTest, CheckpointAfterRecoveryKeepsAFallback) {
+  CheckCheckpointAfterRecovery(/*corrupt_newest=*/false);
+}
+
+// A fallback past a corrupt newest snapshot must not reuse its name, and
+// the corrupt snapshot must not become the next checkpoint's fallback.
+TEST(CkptRecoveryTest, CheckpointAfterFallbackNeverReusesASequence) {
+  CheckCheckpointAfterRecovery(/*corrupt_newest=*/true);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Checkpoint framing and store unit tests: payload round-trips (incl.
-// F64 bit-exactness), record framing and checksums, blob header checks,
+// Checkpoint framing and store unit tests: Archive field round-trips
+// (incl. F64 bit-exactness, the sticky first error, tag matching and
+// nested blobs), record framing and checksums, blob header checks,
 // unknown-tag forward compatibility, torn-WAL-tail truncation semantics,
 // sequence-numbered entry names, and MemStore/DirStore contract parity.
 #include <cmath>
@@ -9,46 +10,68 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "ckpt/metrics_io.h"
 #include "ckpt/recovery.h"
 #include "ckpt/serializer.h"
 #include "ckpt/store.h"
+#include "obs/metrics.h"
 
 namespace vaq {
 namespace ckpt {
 namespace {
 
-TEST(PayloadTest, RoundTripsEveryFieldType) {
-  Payload payload;
-  payload.PutU32(0xDEADBEEFu);
-  payload.PutU64(0x0123456789ABCDEFull);
-  payload.PutI64(-42);
-  payload.PutF64(0.1);  // Not exactly representable: bit pattern must survive.
-  payload.PutBool(true);
-  payload.PutBool(false);
-  payload.PutString("durability");
-  payload.PutString("");  // Empty strings are legal.
+// The blob of one tag-1 record whose payload `fields` saves.
+template <typename Fields>
+std::string OneRecordBlob(Fields&& fields) {
+  return SaveBlob([&](Archive& ar) { ar.Record(1, [&] { fields(ar); }); });
+}
 
-  PayloadReader reader(payload.data());
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  int64_t i64 = 0;
-  double f64 = 0;
-  bool b1 = false, b2 = true;
-  std::string s1, s2;
-  ASSERT_TRUE(reader.GetU32(&u32).ok());
-  ASSERT_TRUE(reader.GetU64(&u64).ok());
-  ASSERT_TRUE(reader.GetI64(&i64).ok());
-  ASSERT_TRUE(reader.GetF64(&f64).ok());
-  ASSERT_TRUE(reader.GetBool(&b1).ok());
-  ASSERT_TRUE(reader.GetBool(&b2).ok());
-  ASSERT_TRUE(reader.GetString(&s1).ok());
-  ASSERT_TRUE(reader.GetString(&s2).ok());
+// Runs `fields` over the tag-1 record of `blob`; the load's status.
+template <typename Fields>
+Status LoadOneRecord(const std::string& blob, Fields&& fields) {
+  return LoadBlob(blob, [&](Archive& ar) {
+    EXPECT_TRUE(ar.Record(1, [&] { fields(ar); }));
+  });
+}
+
+TEST(PayloadTest, RoundTripsEveryFieldType) {
+  uint32_t u32 = 0xDEADBEEFu;
+  uint64_t u64 = 0x0123456789ABCDEFull;
+  int64_t i64 = -42;
+  double f64 = 0.1;  // Not exactly representable: bit pattern must survive.
+  bool b1 = true, b2 = false;
+  std::string s1 = "durability", s2;  // Empty strings are legal.
+  // One body for both directions, as every component's Persist.
+  const auto fields = [&](Archive& ar) {
+    ar.U32(u32);
+    ar.U64(u64);
+    ar.I64(i64);
+    ar.F64(f64);
+    ar.Bool(b1);
+    ar.Bool(b2);
+    ar.String(s1);
+    ar.String(s2);
+  };
+  const std::string blob = OneRecordBlob(fields);
+  auto records = ParseBlob(blob);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records.value().size(), 1u);
+  EXPECT_EQ(records.value()[0].payload.size(), 4u + 8 + 8 + 8 + 1 + 1 + 14 + 4);
+
+  u32 = 0;
+  u64 = 0;
+  i64 = 0;
+  f64 = 0;
+  b1 = false;
+  b2 = true;
+  s1.clear();
+  s2 = "stale";
+  ASSERT_TRUE(LoadOneRecord(blob, fields).ok());
   EXPECT_EQ(u32, 0xDEADBEEFu);
   EXPECT_EQ(u64, 0x0123456789ABCDEFull);
   EXPECT_EQ(i64, -42);
@@ -57,7 +80,6 @@ TEST(PayloadTest, RoundTripsEveryFieldType) {
   EXPECT_FALSE(b2);
   EXPECT_EQ(s1, "durability");
   EXPECT_EQ(s2, "");
-  EXPECT_EQ(reader.remaining(), 0u);
 }
 
 TEST(PayloadTest, F64RoundTripIsBitExact) {
@@ -72,11 +94,10 @@ TEST(PayloadTest, F64RoundTripIsBitExact) {
                            1.0 / 3.0,
                            std::nan("")};
   for (const double v : values) {
-    Payload payload;
-    payload.PutF64(v);
-    PayloadReader reader(payload.data());
+    double field = v;
+    const std::string blob = OneRecordBlob([&](Archive& ar) { ar.F64(field); });
     double got = 0;
-    ASSERT_TRUE(reader.GetF64(&got).ok());
+    ASSERT_TRUE(LoadOneRecord(blob, [&](Archive& ar) { ar.F64(got); }).ok());
     uint64_t want_bits = 0, got_bits = 0;
     static_assert(sizeof(want_bits) == sizeof(v));
     std::memcpy(&want_bits, &v, sizeof(v));
@@ -86,19 +107,91 @@ TEST(PayloadTest, F64RoundTripIsBitExact) {
 }
 
 TEST(PayloadTest, UnderrunIsCorruption) {
-  Payload payload;
-  payload.PutU32(7);
-  PayloadReader reader(payload.data());
+  uint32_t seven = 7;
+  const std::string blob = OneRecordBlob([&](Archive& ar) { ar.U32(seven); });
   uint64_t u64 = 0;  // Wider than what was written.
-  EXPECT_EQ(reader.GetU64(&u64).code(), StatusCode::kCorruption);
+  uint32_t after = 5;
+  const Status s = LoadOneRecord(blob, [&](Archive& ar) {
+    ar.U64(u64);
+    // The first error sticks: later reads are no-ops.
+    ar.U32(after);
+  });
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("u64"), std::string::npos) << s;
+  EXPECT_EQ(after, 5u);
 
   // A string length prefix that overruns the payload is also corruption,
   // not a crash.
-  Payload lying;
-  lying.PutU32(1000);  // Claims 1000 bytes follow; none do.
-  PayloadReader sreader(lying.data());
-  std::string s;
-  EXPECT_EQ(sreader.GetString(&s).code(), StatusCode::kCorruption);
+  uint32_t lying = 1000;  // Claims 1000 bytes follow; none do.
+  const std::string lying_blob =
+      OneRecordBlob([&](Archive& ar) { ar.U32(lying); });
+  std::string str;
+  EXPECT_EQ(LoadOneRecord(lying_blob, [&](Archive& ar) { ar.String(str); })
+                .code(),
+            StatusCode::kCorruption);
+}
+
+// Loading matches records by tag in blob order: records the body does
+// not ask for (a newer writer's) are skipped, a missing record runs
+// nothing, and an optional record exists exactly when its slot is full.
+TEST(PayloadTest, RecordsMatchByTagInOrder) {
+  struct Slot {
+    int64_t value = 0;
+    void Persist(Archive& ar) { ar.I64(value); }
+  };
+  std::optional<Slot> full = Slot{7};
+  std::optional<Slot> empty;
+  const std::string blob = SaveBlob([&](Archive& ar) {
+    int64_t first = 1, second = 2;
+    std::string newer = "from a newer writer";
+    ar.Record(1, [&] { ar.I64(first); });
+    ar.Record(9, [&] { ar.String(newer); });
+    ar.Record(1, [&] { ar.I64(second); });
+    ar.Optional(3, full);
+    ar.Optional(4, empty);
+  });
+  ASSERT_EQ(ParseBlob(blob).value().size(), 4u);
+
+  std::vector<int64_t> got;
+  std::optional<Slot> loaded_full, loaded_empty;
+  bool missing_ran = false;
+  ASSERT_TRUE(LoadBlob(blob, [&](Archive& ar) {
+                int64_t v = 0;
+                while (ar.Record(1, [&] { ar.I64(v); })) got.push_back(v);
+                EXPECT_FALSE(ar.Record(2, [&] { missing_ran = true; }));
+                ar.Optional(3, loaded_full);
+                ar.Optional(4, loaded_empty);
+              }).ok());
+  EXPECT_EQ(got, (std::vector<int64_t>{1, 2}));
+  EXPECT_FALSE(missing_ran);
+  ASSERT_TRUE(loaded_full.has_value());
+  EXPECT_EQ(loaded_full->value, 7);
+  EXPECT_FALSE(loaded_empty.has_value());
+}
+
+// A nested blob (an engine snapshot inside a server record) is written in
+// place and loads back through the same body.
+TEST(PayloadTest, NestedBlobRoundTrips) {
+  int64_t outer = 5, inner = 6;
+  const auto body = [&](Archive& ar) {
+    ar.Record(1, [&] {
+      ar.I64(outer);
+      ar.Blob([&] { ar.Record(2, [&] { ar.I64(inner); }); });
+    });
+  };
+  const std::string blob = SaveBlob(body);
+  // The nested bytes are a blob of their own.
+  auto records = ParseBlob(blob);
+  ASSERT_TRUE(records.ok());
+  const std::string& payload = records.value()[0].payload;
+  ASSERT_GT(payload.size(), 12u);
+  EXPECT_TRUE(ParseBlob(std::string_view(payload).substr(12)).ok());
+
+  outer = 0;
+  inner = 0;
+  ASSERT_TRUE(LoadBlob(blob, body).ok());
+  EXPECT_EQ(outer, 5);
+  EXPECT_EQ(inner, 6);
 }
 
 TEST(RecordTest, AppendReadRoundTrip) {
@@ -158,36 +251,36 @@ TEST(RecordTest, TornTailIsIoErrorNotCorruption) {
 }
 
 TEST(BlobTest, SerializerDeserializerRoundTrip) {
-  Payload p1;
-  p1.PutI64(77);
-  Serializer serializer;
-  serializer.Append(/*tag=*/1, p1);
-  serializer.Append(/*tag=*/2, "raw payload");
+  int64_t i64 = 77;
+  std::string blob =
+      SaveBlob([&](Archive& ar) { ar.Record(1, [&] { ar.I64(i64); }); });
+  AppendRecord(&blob, /*tag=*/2, "raw payload");
 
-  auto reader = Deserializer::Open(serializer.blob());
+  auto reader = Deserializer::Open(blob);
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_EQ(reader.value().version(), kFormatVersion);
   Record record;
   ASSERT_TRUE(reader.value().Next(&record).ok());
   EXPECT_EQ(record.tag, 1u);
-  PayloadReader pr(record.payload);
-  int64_t i64 = 0;
-  ASSERT_TRUE(pr.GetI64(&i64).ok());
-  EXPECT_EQ(i64, 77);
+  EXPECT_EQ(record.payload.size(), 8u);
   ASSERT_TRUE(reader.value().Next(&record).ok());
   EXPECT_EQ(record.payload, "raw payload");
   EXPECT_EQ(reader.value().Next(&record).code(), StatusCode::kOutOfRange);
 
-  auto records = ParseBlob(serializer.blob());
+  auto records = ParseBlob(blob);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records.value().size(), 2u);
   EXPECT_EQ(records.value()[1].tag, 2u);
+  i64 = 0;
+  Archive in(records.value());
+  EXPECT_TRUE(in.Record(1, [&] { in.I64(i64); }));
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(i64, 77);
 }
 
 TEST(BlobTest, RejectsBadMagicAndNewerVersion) {
-  Serializer serializer;
-  serializer.Append(/*tag=*/1, "x");
-  std::string blob = serializer.blob();
+  std::string blob = SaveBlob([](Archive&) {});
+  AppendRecord(&blob, /*tag=*/1, "x");
 
   std::string bad_magic = blob;
   bad_magic[0] ^= 0xFF;
@@ -209,9 +302,9 @@ TEST(BlobTest, RejectsBadMagicAndNewerVersion) {
 TEST(BlobTest, SnapshotsRejectTornRecords) {
   // Unlike a WAL, a snapshot must be intact end to end: a torn final
   // record makes the whole blob unusable.
-  Serializer serializer;
-  serializer.Append(/*tag=*/1, "only record");
-  const std::string torn = serializer.blob().substr(0, serializer.blob().size() - 3);
+  std::string blob = SaveBlob([](Archive&) {});
+  AppendRecord(&blob, /*tag=*/1, "only record");
+  const std::string torn = blob.substr(0, blob.size() - 3);
   EXPECT_FALSE(ParseBlob(torn).ok());
   auto reader = Deserializer::Open(torn);
   ASSERT_TRUE(reader.ok());
@@ -220,24 +313,26 @@ TEST(BlobTest, SnapshotsRejectTornRecords) {
 }
 
 // A checksum-valid histogram record whose bucket count claims 2^32 - 1
-// bounds: the decoder must reject the count before allocating for it
-// (and before `n + 1` bucket slots can wrap to zero).
+// bounds: loading must reject the count before allocating for it (and
+// before `n + 1` bucket slots can wrap to zero).
 TEST(MetricsIoTest, BucketCountBeyondThePayloadIsCorruption) {
-  Payload forged;
-  forged.PutString("vaq_forged_ms");
-  forged.PutU32(static_cast<uint32_t>(obs::Snapshot::Kind::kHistogram));
-  forged.PutU32(0);            // Labels.
-  forged.PutU32(0xFFFFFFFFu);  // Bounds.
-  forged.PutF64(1.0);
-  Serializer serializer;
-  serializer.Append(/*tag=*/1, forged);
-  auto reader = Deserializer::Open(serializer.blob());
-  ASSERT_TRUE(reader.ok());
-  Record record;
-  ASSERT_TRUE(reader.value().Next(&record).ok());
-  PayloadReader in(record.payload);
+  const std::string blob = OneRecordBlob([](Archive& ar) {
+    std::string name = "vaq_forged_ms";
+    uint32_t kind = static_cast<uint32_t>(obs::Snapshot::Kind::kHistogram);
+    uint32_t labels = 0;
+    uint32_t bounds = 0xFFFFFFFFu;
+    double bound = 1.0;
+    ar.String(name);
+    ar.U32(kind);
+    ar.U32(labels);
+    ar.U32(bounds);
+    ar.F64(bound);
+  });
   obs::Snapshot::Entry entry;
-  EXPECT_EQ(DecodeMetricEntry(&in, &entry).code(), StatusCode::kCorruption);
+  EXPECT_EQ(
+      LoadOneRecord(blob, [&](Archive& ar) { entry.Persist(ar); }).code(),
+      StatusCode::kCorruption);
+  EXPECT_TRUE(entry.bounds.empty());
 }
 
 TEST(NamesTest, SequenceNamesSortAndParse) {

@@ -334,6 +334,38 @@ TEST(ClusterRanked, NetworkFaultsNeverChangeResults) {
   EXPECT_GT(run.result.net.drops + run.result.net.duplicates_suppressed, 0);
 }
 
+// Every message gets a second copy, and outages keep failover timers
+// pending: the queue then often holds only copies NextDelivery
+// suppresses while a shard waits on its timer. The gather must treat an
+// empty pop as "no message" and go back to the timers.
+TEST(ClusterRanked, DuplicateOnlyQueueFallsBackToTheTimers) {
+  const RankedOutput ref = SingleNodeReference();
+  int ok_runs = 0;
+  int64_t suppressed = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    fault::FaultSpec spec;
+    spec.net_dup_rate = 1.0;
+    spec.node_outage_rate = 0.35;
+    spec.node_outage_len_ms = 25;
+    const fault::FaultPlan plan(spec, seed);
+    ClusterOptions options;
+    options.num_shards = 2;
+    options.num_replicas = 2;
+    options.fault_plan = &plan;
+    const ClusterRun run = RunCluster(options);
+    const std::string label = "dup seed=" + std::to_string(seed);
+    if (!run.status.ok()) {  // Every replica down: acceptable.
+      EXPECT_EQ(run.status.code(), StatusCode::kUnavailable) << label;
+      continue;
+    }
+    ++ok_runs;
+    suppressed += run.result.net.duplicates_suppressed;
+    ExpectMatchesReference(run.output, ref, label, /*compare_metrics=*/false);
+  }
+  EXPECT_GT(ok_runs, 0);
+  EXPECT_GT(suppressed, 0);
+}
+
 TEST(ClusterRanked, RoutesThroughQuerySession) {
   obs::MetricRegistry::Global().Reset();
   ClusterOptions options;

@@ -476,40 +476,35 @@ int CmdMetrics(const Args& args) {
 constexpr char kConfigEntry[] = "config";
 constexpr uint32_t kConfigTag = 1;
 
-Status WriteServeConfig(ckpt::Store* store,
-                        const tools::StandingDemoSpec& spec) {
-  ckpt::Payload payload;
-  payload.PutI64(spec.num_streams);
-  payload.PutI64(spec.num_queries);
-  payload.PutU64(spec.seed);
-  payload.PutBool(spec.share_detection_cache);
-  payload.PutI64(spec.snapshot_every_clips);
-  payload.PutF64(spec.snapshot_every_ms);
-  ckpt::Serializer serializer;
-  serializer.Append(kConfigTag, payload);
-  return store->Put(kConfigEntry, serializer.blob());
+// The config entry's body: one record of the session parameters.
+void PersistServeConfig(ckpt::Archive& ar, tools::StandingDemoSpec& spec) {
+  int64_t streams = spec.num_streams;
+  int64_t queries = spec.num_queries;
+  const bool found = ar.Record(kConfigTag, [&] {
+    ar.I64(streams);
+    ar.I64(queries);
+    ar.U64(spec.seed);
+    ar.Bool(spec.share_detection_cache);
+    ar.I64(spec.snapshot_every_clips);
+    ar.F64(spec.snapshot_every_ms);
+  });
+  if (!found) ar.Fail(Status::Corruption("config entry has no config record"));
+  spec.num_streams = static_cast<int>(streams);
+  spec.num_queries = static_cast<int>(queries);
+}
+
+Status WriteServeConfig(ckpt::Store* store, tools::StandingDemoSpec spec) {
+  return store->Put(kConfigEntry, ckpt::SaveBlob([&](ckpt::Archive& ar) {
+                      PersistServeConfig(ar, spec);
+                    }));
 }
 
 StatusOr<tools::StandingDemoSpec> ReadServeConfig(const ckpt::Store& store) {
   VAQ_ASSIGN_OR_RETURN(const std::string blob, store.Get(kConfigEntry));
-  VAQ_ASSIGN_OR_RETURN(const std::vector<ckpt::Record> records,
-                       ckpt::ParseBlob(blob));
-  for (const ckpt::Record& record : records) {
-    if (record.tag != kConfigTag) continue;
-    ckpt::PayloadReader in(record.payload);
-    tools::StandingDemoSpec spec;
-    int64_t streams = 0, queries = 0;
-    VAQ_RETURN_IF_ERROR(in.GetI64(&streams));
-    VAQ_RETURN_IF_ERROR(in.GetI64(&queries));
-    VAQ_RETURN_IF_ERROR(in.GetU64(&spec.seed));
-    VAQ_RETURN_IF_ERROR(in.GetBool(&spec.share_detection_cache));
-    VAQ_RETURN_IF_ERROR(in.GetI64(&spec.snapshot_every_clips));
-    VAQ_RETURN_IF_ERROR(in.GetF64(&spec.snapshot_every_ms));
-    spec.num_streams = static_cast<int>(streams);
-    spec.num_queries = static_cast<int>(queries);
-    return spec;
-  }
-  return Status::Corruption("config entry has no config record");
+  tools::StandingDemoSpec spec;
+  VAQ_RETURN_IF_ERROR(ckpt::LoadBlob(
+      blob, [&](ckpt::Archive& ar) { PersistServeConfig(ar, spec); }));
+  return spec;
 }
 
 // Finish the standing session and print results / stats / metrics; the
