@@ -140,6 +140,7 @@ ClipScoreSource::ClipScoreSource(const QueryTables* tables,
   entry_known_.assign(t, std::vector<bool>(n, false));
   full_score_.assign(n, 0.0);
   full_known_.assign(n, false);
+  values_.assign(t, 0.0);
 }
 
 void ClipScoreSource::NoteKnownEntry(int table_idx, ClipIndex clip,
@@ -165,28 +166,26 @@ double ClipScoreSource::BoundWith(ClipIndex clip,
   const size_t c = static_cast<size_t>(clip);
   const size_t num_tables = entry_value_.size();
   VAQ_CHECK_EQ(fill.size(), num_tables);
-  std::vector<double> values(num_tables);
   for (size_t t = 0; t < num_tables; ++t) {
-    values[t] = entry_known_[t][c] ? entry_value_[t][c] : fill[t];
+    values_[t] = entry_known_[t][c] ? entry_value_[t][c] : fill[t];
   }
-  return scoring_->ClipScore(values, tables_->schema);
+  return scoring_->ClipScore(values_, tables_->schema);
 }
 
 double ClipScoreSource::Score(ClipIndex clip) {
   const size_t c = static_cast<size_t>(clip);
   if (full_known_[c]) return full_score_[c];
   const std::vector<const storage::ScoreTableView*>& all = tables_->AllTables();
-  std::vector<double> values(all.size());
   for (size_t t = 0; t < all.size(); ++t) {
     if (entry_known_[t][c]) {
-      values[t] = entry_value_[t][c];
+      values_[t] = entry_value_[t][c];
     } else {
-      values[t] = all[t]->RandomScore(clip);  // Counted random access.
-      entry_value_[t][c] = values[t];
+      values_[t] = all[t]->RandomScore(clip);  // Counted random access.
+      entry_value_[t][c] = values_[t];
       entry_known_[t][c] = true;
     }
   }
-  const double score = scoring_->ClipScore(values, tables_->schema);
+  const double score = scoring_->ClipScore(values_, tables_->schema);
   full_score_[c] = score;
   full_known_[c] = true;
   return score;

@@ -93,7 +93,8 @@ class ClipScoreSource {
   // entries and `fill[t]` substituted for each unknown table entry.
   // Charges no accesses and caches nothing. With per-table sorted-access
   // thresholds as fills this upper-bounds the clip score; with reverse
-  // thresholds it lower-bounds it (monotone g).
+  // thresholds it lower-bounds it (monotone g). Not safe to call
+  // concurrently: it shares Score()'s scratch buffer.
   double BoundWith(ClipIndex clip, const std::vector<double>& fill) const;
 
  private:
@@ -104,6 +105,8 @@ class ClipScoreSource {
   std::vector<std::vector<bool>> entry_known_;
   std::vector<double> full_score_;
   std::vector<bool> full_known_;
+  // One clip's per-table entries, reused by every Score/BoundWith call.
+  mutable std::vector<double> values_;
 };
 
 }  // namespace offline

@@ -64,12 +64,21 @@ class TbClipIterator {
   struct SideState {
     int64_t stamp = 0;                 // Next row rank to read.
     std::vector<int16_t> seen_count;   // Tables that delivered each clip.
-    std::vector<ClipIndex> seen_list;  // Clips seen at least once.
+    // Clips seen at least once and still usable, in first-seen order.
+    std::vector<ClipIndex> seen_list;
     int64_t complete_cursor = 0;       // Scan start for candidate checks.
     std::vector<ClipIndex> complete;   // Clips seen in all tables.
     std::vector<double> thresholds;    // Last row score read per table.
   };
   SideState sides_[2];
+
+  // A partially-known clip awaiting a random access, with its score bound.
+  struct Pending {
+    double bound;
+    ClipIndex clip;
+    size_t order;  // Position in seen-list order: the tie-break.
+  };
+  std::vector<Pending> pending_;  // SelectExtreme scratch, reused.
 
   std::vector<bool> processed_;
   int64_t clips_processed_ = 0;
