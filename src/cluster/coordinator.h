@@ -202,6 +202,8 @@ class Coordinator : public query::RankedBackend {
   // Recreates every node from the current shard_videos_ layout (host
   // ids are layout-relative, so a rebalance re-derives all of them).
   void RebuildNodes();
+  // vaq_cluster_shard_load_ms{shard="<shard>"}, resolved at first use.
+  obs::Gauge* ShardLoadGauge(int shard) const;
 
   const offline::Repository* repository_;
   ClusterOptions options_;
@@ -210,6 +212,8 @@ class Coordinator : public query::RankedBackend {
   // Per-shard modeled scan ms of the current load window (Rebalance
   // resets it). Mutable: folded during the logically-const TopK.
   mutable std::vector<double> shard_load_ms_;
+  // By shard index; filled lazily (ShardLoadGauge). Mutable like the load.
+  mutable std::vector<obs::Gauge*> shard_load_gauges_;
   // Primaries [0, S), then replicas in ReplicaHost order. Mutable: nodes
   // cache the per-query shard run; TopK is logically const.
   mutable std::vector<std::unique_ptr<Node>> nodes_;

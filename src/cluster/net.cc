@@ -33,15 +33,15 @@ Net::Net(NetOptions options, const fault::FaultPlan* plan)
 void Net::Send(int from, int to, uint32_t tag, const char* tag_name,
                std::string payload, int64_t wire_bytes, double send_ms) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  static obs::CounterSlots messages("vaq_cluster_net_messages_total", "tag");
+  static obs::Counter* const bytes =
+      registry.GetCounter("vaq_cluster_net_bytes_total", {});
   const int64_t link = LinkOf(from, to);
   const int64_t seq = next_seq_++;
   ++stats_.messages;
   stats_.bytes += wire_bytes;
-  registry
-      .GetCounter("vaq_cluster_net_messages_total", {{"tag", tag_name}})
-      ->Increment();
-  registry.GetCounter("vaq_cluster_net_bytes_total", {})
-      ->Increment(wire_bytes);
+  messages.Get(tag_name)->Increment();
+  bytes->Increment(wire_bytes);
 
   // Drops only delay: each lost copy schedules a retransmission one RTO
   // later, and the final attempt always goes through.

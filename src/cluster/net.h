@@ -70,8 +70,9 @@ class Net {
   // a null plan gives a fault-free network with seed-0 jitter.
   Net(NetOptions options, const fault::FaultPlan* plan);
 
-  // Queues a message sent at virtual time `send_ms`. `tag_name` labels
-  // the vaq_cluster_net_messages_total counter ("query", "batch", ...).
+  // Queues a message sent at virtual time `send_ms`. `tag_name`, a string
+  // literal, labels the vaq_cluster_net_messages_total counter ("query",
+  // "batch", ...).
   // `wire_bytes` is the modeled on-the-wire size (the in-process
   // `payload` is just the logical content, e.g. a batch coordinate, so
   // transfer time is charged for the bytes a real serialization would

@@ -35,9 +35,10 @@ StatusOr<const ShardRun*> Node::RunRanked(
       const IntervalSet* surviving = options.prefilter->SurvivingClips(name);
       if (surviving != nullptr && surviving->empty()) {
         ++run_.videos_pruned;
-        obs::MetricRegistry::Global()
-            .GetCounter("vaq_cascade_videos_pruned_total")
-            ->Increment(1);
+        static obs::Counter* const pruned =
+            obs::MetricRegistry::Global().GetCounter(
+                "vaq_cascade_videos_pruned_total");
+        pruned->Increment(1);
         continue;
       }
       options.clip_filter = surviving;  // nullptr: unconstrained video.

@@ -19,7 +19,11 @@
 // Registration (Get*) takes a mutex; the returned pointer is stable for
 // the registry's lifetime, so hot paths resolve once (constructor or
 // function-local static) and then touch a single relaxed `std::atomic` —
-// cheap enough to sit inside the per-frame model loop.
+// cheap enough to sit inside the per-frame model loop. Families whose one
+// varying label takes string-literal values (spans, message tags, engine
+// names) resolve each value once through `CounterSlots`. "Once" means at
+// first use: a series appears in exports exactly when it is first
+// touched, never earlier.
 //
 // Determinism: every engine records *logical* quantities (event counts,
 // simulated milliseconds) rather than wall time, and snapshots iterate
@@ -209,6 +213,13 @@ class MetricRegistry {
   // tools use this to scope a snapshot to a single run.
   void Reset();
 
+  // Number of Get* calls so far, hits included. Not a metric: it is never
+  // exported, snapshotted or reset. Tests read it to check that a hot
+  // path resolves its series once rather than per call.
+  int64_t lookups_for_testing() const {
+    return lookups_.load(std::memory_order_relaxed);
+  }
+
  private:
   struct Instrument {
     Snapshot::Kind kind;
@@ -222,12 +233,54 @@ class MetricRegistry {
   // iteration deterministically sorted.
   mutable std::mutex mu_;
   std::map<std::pair<std::string, std::string>, Instrument> instruments_;
+  std::atomic<int64_t> lookups_{0};
 };
 
-// Counts one entry into a named code region (string literals in
-// practice, e.g. "rvaq/run") as `vaq_span_total{span="<name>"}`. Only
-// the count is kept: wall time per engine lives in the engines' own
-// `*_wall_ms` result fields, never in this registry.
+// The members of one global counter family that differ in a single label
+// whose values are string literals, e.g. `vaq_span_total{span=...}`.
+// Get(value) looks a member up in the registry the first time that value
+// is counted and caches the pointer in a small lock-free table keyed by
+// the literal's address; later calls make no registry lookup. Values must
+// have static storage duration (two equal literals at different addresses
+// just take two slots for one series). Optional fixed labels complete the
+// label set. Meant as a function-local static: the constructor is
+// constexpr, so the slots are constant-initialized.
+class CounterSlots {
+ public:
+  constexpr CounterSlots(const char* name, const char* key,
+                         const char* fixed_key = nullptr,
+                         const char* fixed_value = nullptr)
+      : name_(name),
+        key_(key),
+        fixed_key_(fixed_key),
+        fixed_value_(fixed_value) {}
+  CounterSlots(const CounterSlots&) = delete;
+  CounterSlots& operator=(const CounterSlots&) = delete;
+
+  Counter* Get(const char* value);
+
+ private:
+  static constexpr int kSlotBits = 5;  // 32 values; more fall back to Get*.
+  struct Slot {
+    std::atomic<const char*> value{nullptr};
+    std::atomic<Counter*> counter{nullptr};
+  };
+
+  Counter* Resolve(const char* value) const;
+
+  const char* name_;
+  const char* key_;
+  const char* fixed_key_;
+  const char* fixed_value_;
+  Slot slots_[size_t{1} << kSlotBits];
+};
+
+// Counts one entry into a named code region as
+// `vaq_span_total{span="<name>"}`. `name` must be a string literal (e.g.
+// "rvaq/run"): each one's counter is resolved at its first count and
+// cached by address (CounterSlots). Only the count is kept: wall time per
+// engine lives in the engines' own `*_wall_ms` result fields, never in
+// this registry.
 void CountSpan(const char* name);
 
 // Canonical label rendering: key-sorted `k1="v1",k2="v2"` with

@@ -114,9 +114,10 @@ StatusOr<RepositoryTopKResult> Repository::TopK(
       if (surviving != nullptr && surviving->empty()) {
         // The proxy ruled out every clip: no table is even bound.
         ++result.videos_pruned;
-        obs::MetricRegistry::Global()
-            .GetCounter("vaq_cascade_videos_pruned_total")
-            ->Increment(1);
+        static obs::Counter* const pruned =
+            obs::MetricRegistry::Global().GetCounter(
+                "vaq_cascade_videos_pruned_total");
+        pruned->Increment(1);
         continue;
       }
       options.clip_filter = surviving;  // nullptr: unconstrained video.

@@ -99,10 +99,8 @@ StatusOr<QueryResult> ExecuteRankedStatement(
       // model: fall back to the exact path while honoring the clause.
       plan.recall_target = stmt.recall_target;
     }
-    obs::MetricRegistry::Global()
-        .GetCounter("vaq_cascade_plans_total",
-                    {{"mode", plan.use_cascade ? "cascade" : "exact"}})
-        ->Increment();
+    static obs::CounterSlots plans("vaq_cascade_plans_total", "mode");
+    plans.Get(plan.use_cascade ? "cascade" : "exact")->Increment();
     result.cascade_plan = plan.ToString();
     cascade_phase.AddStat("clips_total", plan.clips_total);
     cascade_phase.AddStat("clips_surviving", plan.clips_surviving);
@@ -111,9 +109,10 @@ StatusOr<QueryResult> ExecuteRankedStatement(
       surviving = filters->SurvivingClips(stmt.video);
       if (surviving != nullptr && surviving->empty()) {
         // The proxy rules out the whole video: answer without binding.
-        obs::MetricRegistry::Global()
-            .GetCounter("vaq_cascade_videos_pruned_total")
-            ->Increment();
+        static obs::Counter* const pruned =
+            obs::MetricRegistry::Global().GetCounter(
+                "vaq_cascade_videos_pruned_total");
+        pruned->Increment();
         result.online = false;
         return result;
       }
@@ -269,10 +268,8 @@ StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt) {
 StatusOr<QueryResult> Session::Execute(const QueryStatement& stmt,
                                        const obs::QueryContext& ctx) {
   const bool offline_query = stmt.ranked || stmt.limit >= 0;
-  obs::MetricRegistry::Global()
-      .GetCounter("vaq_session_statements_total",
-                  {{"kind", offline_query ? "ranked" : "online"}})
-      ->Increment();
+  static obs::CounterSlots statements("vaq_session_statements_total", "kind");
+  statements.Get(offline_query ? "ranked" : "online")->Increment();
   if (offline_query) {
     auto backend = backends_.find(stmt.video);
     if (backend != backends_.end()) {

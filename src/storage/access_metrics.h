@@ -8,11 +8,10 @@
 //
 // so the Prometheus/JSON exporters see the same numbers Tables 6-8
 // report. All five kinds are registered even when zero, keeping the
-// snapshot shape independent of the data.
+// snapshot shape independent of the data. `engine` is a string literal;
+// each engine's series are resolved at its first run and then cached.
 #ifndef VAQ_STORAGE_ACCESS_METRICS_H_
 #define VAQ_STORAGE_ACCESS_METRICS_H_
-
-#include <string>
 
 #include "obs/metrics.h"
 #include "storage/access_counter.h"
@@ -21,19 +20,22 @@ namespace vaq {
 namespace storage {
 
 inline void MirrorAccessCounter(const AccessCounter& counter,
-                                const std::string& engine) {
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  const auto add = [&](const char* kind, int64_t n) {
-    registry
-        .GetCounter("vaq_storage_accesses_total",
-                    {{"engine", engine}, {"kind", kind}})
-        ->Increment(n);
-  };
-  add("sorted", counter.sorted_accesses);
-  add("reverse", counter.reverse_accesses);
-  add("random", counter.random_accesses);
-  add("range_scan", counter.range_scans);
-  add("range_row", counter.range_rows);
+                                const char* engine) {
+  static obs::CounterSlots sorted("vaq_storage_accesses_total", "engine",
+                                  "kind", "sorted");
+  static obs::CounterSlots reverse("vaq_storage_accesses_total", "engine",
+                                   "kind", "reverse");
+  static obs::CounterSlots random("vaq_storage_accesses_total", "engine",
+                                  "kind", "random");
+  static obs::CounterSlots range_scan("vaq_storage_accesses_total", "engine",
+                                      "kind", "range_scan");
+  static obs::CounterSlots range_row("vaq_storage_accesses_total", "engine",
+                                     "kind", "range_row");
+  sorted.Get(engine)->Increment(counter.sorted_accesses);
+  reverse.Get(engine)->Increment(counter.reverse_accesses);
+  random.Get(engine)->Increment(counter.random_accesses);
+  range_scan.Get(engine)->Increment(counter.range_scans);
+  range_row.Get(engine)->Increment(counter.range_rows);
 }
 
 }  // namespace storage

@@ -1,6 +1,7 @@
 // MetricRegistry semantics: labeled families, concurrent counter updates,
 // histogram bucket boundaries, the two exporters (Prometheus text and
-// JSON, including the built-in JSON linter) and the CountSpan counters.
+// JSON, including the built-in JSON linter), the CountSpan counters and
+// the lazily resolved CounterSlots.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -174,6 +175,76 @@ TEST(CountSpanTest, EveryEntryAddsOneAndNoTimeFamilyAppears) {
     if (entry.name.rfind("vaq_span", 0) == 0) {
       EXPECT_EQ(entry.name, "vaq_span_total");
     }
+  }
+}
+
+bool Registered(const std::string& name, const std::string& value) {
+  for (const Snapshot::Entry& entry :
+       MetricRegistry::Global().TakeSnapshot().entries) {
+    if (entry.name != name) continue;
+    for (const auto& label : entry.labels) {
+      if (label.second == value) return true;
+    }
+  }
+  return false;
+}
+
+// A slot registers its series at the first Get, resolves to the very
+// counter GetCounter returns (fixed labels included), and answers later
+// Gets without a registry lookup.
+TEST(CounterSlotsTest, ResolvesOnceAtFirstUse) {
+  static CounterSlots slots("slots_test_total", "op", "side", "left");
+  MetricRegistry& registry = MetricRegistry::Global();
+  EXPECT_FALSE(Registered("slots_test_total", "first"));
+  Counter* first = slots.Get("first");
+  EXPECT_TRUE(Registered("slots_test_total", "first"));
+  EXPECT_EQ(first, registry.GetCounter("slots_test_total",
+                                       {{"side", "left"}, {"op", "first"}}));
+  const int64_t before = registry.lookups_for_testing();
+  for (int i = 0; i < 5; ++i) slots.Get("first")->Increment();
+  EXPECT_EQ(registry.lookups_for_testing(), before);
+  EXPECT_EQ(first->value(), 5);
+}
+
+// More values than slots still count into the right series: the
+// overflow falls back to a registry lookup per call.
+TEST(CounterSlotsTest, OverflowFallsBackToLookups) {
+  static CounterSlots slots("slots_overflow_total", "v");
+  static const char* const kValues[] = {
+      "v00", "v01", "v02", "v03", "v04", "v05", "v06", "v07", "v08",
+      "v09", "v10", "v11", "v12", "v13", "v14", "v15", "v16", "v17",
+      "v18", "v19", "v20", "v21", "v22", "v23", "v24", "v25", "v26",
+      "v27", "v28", "v29", "v30", "v31", "v32", "v33", "v34", "v35"};
+  for (int round = 0; round < 3; ++round) {
+    for (const char* value : kValues) slots.Get(value)->Increment();
+  }
+  for (const char* value : kValues) {
+    EXPECT_EQ(MetricRegistry::Global()
+                  .GetCounter("slots_overflow_total", {{"v", value}})
+                  ->value(),
+              3)
+        << value;
+  }
+}
+
+// Threads racing on first use all land on the same series: no count is
+// lost and each value's series exists once.
+TEST(CounterSlotsTest, ConcurrentFirstUseCountsExactly) {
+  static CounterSlots slots("slots_race_total", "v");
+  static const char* const kValues[] = {"a", "b", "c", "d"};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < 1000; ++i) slots.Get(kValues[i % 4])->Increment();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const char* value : kValues) {
+    EXPECT_EQ(MetricRegistry::Global()
+                  .GetCounter("slots_race_total", {{"v", value}})
+                  ->value(),
+              2000)
+        << value;
   }
 }
 

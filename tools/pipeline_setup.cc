@@ -8,7 +8,9 @@
 
 #include "bai/sequence_arms.h"
 #include "cascade/store.h"
+#include "cluster/coordinator.h"
 #include "detect/models.h"
+#include "obs/metrics.h"
 #include "offline/ingest.h"
 #include "offline/scoring.h"
 
@@ -520,6 +522,59 @@ StatusOr<TrafficDemoResult> RunTrafficDemo(const TrafficDemoSpec& spec) {
   door.record_metrics = spec.record_metrics;
   out.report = traffic::RunFrontDoor(tenants, arrivals, out.preset_cost_ms,
                                      door);
+  return out;
+}
+
+std::vector<std::string> RankedDemoStatements(const std::string& source) {
+  static const std::vector<std::vector<std::string>> kObjects = {
+      {"dog"}, {"car"}, {"dog", "car"}};
+  static const char* const kClauses[] = {"", " WITH RECALL 0.9",
+                                         " WITH CONFIDENCE 0.05"};
+  std::vector<std::string> out;
+  for (const std::vector<std::string>& objects : kObjects) {
+    std::string include;
+    for (const std::string& object : objects) {
+      include += (include.empty() ? "'" : ", '") + object + "'";
+    }
+    for (int64_t limit = 1; limit <= 8; ++limit) {
+      for (const char* clause : kClauses) {
+        out.push_back(std::string("SELECT MERGE(clipID) AS Sequence, "
+                                  "RANK(act, obj) FROM (PROCESS ")
+                          .append(source)
+                          .append(" PRODUCE clipID, obj USING ObjectTracker, "
+                                  "act USING ActionRecognizer) "
+                                  "WHERE act='running' AND obj.include(")
+                          .append(include)
+                          .append(") ORDER BY RANK(act, obj) LIMIT ")
+                          .append(std::to_string(limit))
+                          .append(clause));
+      }
+    }
+  }
+  return out;
+}
+
+StatusOr<RankedLookups> CountRankedRegistryLookups(int num_videos,
+                                                   uint64_t seed) {
+  VAQ_ASSIGN_OR_RETURN(CascadeDemo demo, MakeBaiDemo(num_videos, seed));
+  cluster::ClusterOptions options;
+  options.num_shards = 4;
+  options.proxy = &demo.proxies;
+  cluster::Coordinator coordinator(&demo.repository, options);
+  query::Session session;
+  session.RegisterRankedBackend("corpus", &coordinator);
+  const std::vector<std::string> statements = RankedDemoStatements("corpus");
+  const obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  RankedLookups out;
+  for (double* per_query :
+       {&out.first_pass_per_query, &out.second_pass_per_query}) {
+    const int64_t before = registry.lookups_for_testing();
+    for (const std::string& sql : statements) {
+      VAQ_RETURN_IF_ERROR(session.Execute(sql).status());
+    }
+    *per_query = static_cast<double>(registry.lookups_for_testing() - before) /
+                 static_cast<double>(statements.size());
+  }
   return out;
 }
 

@@ -156,6 +156,26 @@ struct BaiSweepPoint {
 StatusOr<BaiSweepPoint> RunBaiSweepPoint(const CascadeDemo& demo, double delta,
                                          int64_t k, uint64_t seed);
 
+// --- Ranked steady state -------------------------------------------------
+// The ranked statement mix of the wall-clock benchmark's `ranked`
+// workload: "running" with objects {dog}, {car} or {dog, car}, LIMIT 1-8,
+// each exact, WITH RECALL 0.9 and WITH CONFIDENCE 0.05 (72 statements),
+// over a ranked source named `source`.
+std::vector<std::string> RankedDemoStatements(const std::string& source);
+
+// Registry lookups (obs::MetricRegistry::lookups_for_testing) per
+// statement in each of two passes of that mix, run through a
+// query::Session on a 4-shard cluster::Coordinator over
+// MakeBaiDemo(num_videos, seed). Every series a ranked query touches is
+// resolved once, at first use, so the second pass makes none; a hot path
+// that looks a series up per call shows there.
+struct RankedLookups {
+  double first_pass_per_query = 0.0;   // Includes first-use resolution.
+  double second_pass_per_query = 0.0;  // Steady state.
+};
+StatusOr<RankedLookups> CountRankedRegistryLookups(int num_videos,
+                                                   uint64_t seed);
+
 // --- Durable standing-query demo ---------------------------------------
 // The restartable clip-lockstep session behind `vaqctl serve
 // --checkpoint-dir`, `vaqctl recover`, the crash-recovery tests and
