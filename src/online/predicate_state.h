@@ -1,6 +1,6 @@
-// Shared per-predicate adaptive state of the SVAQD-family engines:
-// kernel background estimator, burstiness moments, and the lazily
-// recomputed critical value. Internal to vaq_online.
+// Per-literal adaptive state of the online engine (CnfStream): kernel
+// background estimator, burstiness moments, and the lazily recomputed
+// critical value. Internal to vaq_online.
 #ifndef VAQ_ONLINE_PREDICATE_STATE_H_
 #define VAQ_ONLINE_PREDICATE_STATE_H_
 
@@ -68,12 +68,22 @@ struct PredicateState {
 
   // Checkpoint body (ckpt::Archive, DESIGN.md §10). Doubles travel as
   // bit patterns, so a restored engine continues on the identical
-  // floating-point trajectory.
+  // floating-point trajectory. The conjunctive snapshot layout writes
+  // both halves in one record; the CNF layout writes the estimate in its
+  // v1 literal record and the moments in an appended one.
   template <typename Archive>
   void Persist(Archive& ar) {
+    PersistEstimate(ar);
+    PersistMoments(ar);
+  }
+  template <typename Archive>
+  void PersistEstimate(Archive& ar) {
     estimator.Persist(ar);
     ar.F64(p_at_last_compute);
     ar.I64(kcrit);
+  }
+  template <typename Archive>
+  void PersistMoments(Archive& ar) {
     ar.F64(last_observed_rate);
     ar.F64(count_weight);
     ar.F64(count_sum);

@@ -1,9 +1,8 @@
 #include "online/svaq.h"
 
-#include <chrono>
-
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "online/cnf_engine.h"
 
 namespace vaq {
 namespace online {
@@ -63,62 +62,16 @@ int64_t Svaq::InitialActionCriticalValue() const {
 OnlineResult Svaq::Run(detect::ObjectDetector* detector,
                        detect::ActionRecognizer* recognizer) const {
   obs::CountSpan("svaq/run");
-  const auto start = std::chrono::steady_clock::now();
-  OnlineResult result;
-  const detect::ModelStats detector_stats_before =
-      detector != nullptr ? detector->stats() : detect::ModelStats();
-  const detect::ModelStats recognizer_stats_before =
-      recognizer != nullptr ? recognizer->stats() : detect::ModelStats();
-  result.kcrit_objects = InitialObjectCriticalValues();
-  result.kcrit_action = InitialActionCriticalValue();
-
-  // Registry mirrors (logical quantities only, so seeded runs stay
-  // byte-reproducible): the latency histogram observes *simulated* model
-  // milliseconds per clip, never wall time.
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  obs::Counter* metric_clips =
-      registry.GetCounter("vaq_clips_processed_total", {{"engine", "svaq"}});
-  obs::Counter* metric_rejections = registry.GetCounter(
-      "vaq_scanstat_rejections_total", {{"engine", "svaq"}});
-  obs::Histogram* metric_clip_ms =
-      registry.GetHistogram("vaq_clip_eval_simulated_ms",
-                            obs::DefaultLatencyBucketsMs(),
-                            {{"engine", "svaq"}});
-  const auto simulated_ms = [&] {
-    double ms = 0.0;
-    if (detector != nullptr) ms += detector->stats().simulated_ms;
-    if (recognizer != nullptr) ms += recognizer->stats().simulated_ms;
-    return ms;
-  };
-
-  ClipEvaluator evaluator(query_, layout_, detector, recognizer);
-  const int64_t num_clips = layout_.NumClips();
-  result.clip_indicator.resize(static_cast<size_t>(num_clips), false);
-  for (ClipIndex c = 0; c < num_clips; ++c) {
-    const double clip_start_ms = simulated_ms();
-    const ClipEvaluation eval =
-        evaluator.Evaluate(c, result.kcrit_objects, result.kcrit_action,
-                           options_.short_circuit);
-    result.clip_indicator[static_cast<size_t>(c)] = eval.positive;
-    ++result.clips_processed;
-    metric_clips->Increment();
-    if (eval.positive) metric_rejections->Increment();
-    metric_clip_ms->Observe(simulated_ms() - clip_start_ms);
-  }
-  result.sequences = IntervalSet::FromIndicators(result.clip_indicator);
-  // Per-run deltas, so stats stay per-query when a model bundle is shared
-  // across successive runs (the serving layer's shared detection cache).
-  if (detector != nullptr) {
-    result.detector_stats = detector->stats() - detector_stats_before;
-  }
-  if (recognizer != nullptr) {
-    result.recognizer_stats = recognizer->stats() - recognizer_stats_before;
-  }
-  result.algorithm_wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+  CnfEngineOptions options;
+  options.svaqd.base = options_;
+  // No pseudo-observations: the estimator's rate is p0 itself, so the
+  // critical values are InitialObjectCriticalValues() exactly.
+  options.svaqd.prior_weight = 0;
+  options.svaqd.probe_period = 0;
+  options.adaptive = false;
+  CnfStream engine(query_, layout_, std::move(options),
+                   internal_online::BatchSeries("svaq"));
+  return RunToEnd(engine, detector, recognizer);
 }
 
 }  // namespace online

@@ -9,7 +9,6 @@
 
 #include "common/interval.h"
 #include "detect/models.h"
-#include "online/clip_evaluator.h"
 #include "scanstat/critical_value.h"
 #include "video/layout.h"
 #include "video/query_spec.h"
@@ -62,7 +61,8 @@ struct OnlineResult {
 };
 
 // SVAQ: static critical values from the initial background probabilities
-// (Algorithm 1).
+// (Algorithm 1): a driver that pushes every clip of the video through a
+// non-adaptive, non-probing conjunctive CnfStream.
 class Svaq {
  public:
   Svaq(QuerySpec query, VideoLayout layout, SvaqOptions options);

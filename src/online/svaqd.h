@@ -13,12 +13,10 @@
 #define VAQ_ONLINE_SVAQD_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "detect/resilient.h"
 #include "fault/fault_plan.h"
 #include "online/svaq.h"
-#include "scanstat/kernel_estimator.h"
 
 namespace vaq {
 namespace online {
@@ -107,27 +105,8 @@ struct SvaqdOptions {
   MissingObsPolicy missing_policy = MissingObsPolicy::kBackgroundPrior;
 };
 
-namespace internal_online {
-
-struct PredicateState;
-
-// Fallback positive probability for one predicate's missing observations
-// under `policy`.
-double FallbackRate(MissingObsPolicy policy, const PredicateState& state);
-
-// Post-clip adaptive-state update (carry-last tracking, background
-// estimator feeding, lazy critical-value recomputation) shared verbatim by
-// Svaqd::Run and StreamingSvaqd::PushClip. Only successfully observed
-// occurrence units reach the estimators, so injected faults cannot bias
-// the background rate.
-void UpdateAdaptiveState(const SvaqdOptions& options,
-                         const ClipEvaluation& eval,
-                         std::vector<PredicateState>* objects,
-                         PredicateState* action);
-
-}  // namespace internal_online
-
-// SVAQD per Algorithm 3.
+// SVAQD per Algorithm 3: a driver that pushes every clip of the video
+// through an adaptive conjunctive CnfStream (src/online/cnf_engine.h).
 class Svaqd {
  public:
   Svaqd(QuerySpec query, VideoLayout layout, SvaqdOptions options);

@@ -187,44 +187,41 @@ StatusOr<QueryResult> ExecuteOnlineStatement(
   // The resilient model wrappers read the thread-local context, so their
   // per-outcome call counts land on this query's "online" node.
   obs::ScopedQueryContext scoped(phase);
-  const auto charge = [&phase](const QueryResult& r) {
-    phase.AddMs(r.detector_stats.simulated_ms +
-                r.recognizer_stats.simulated_ms);
-    phase.AddStat("detector_inferences", r.detector_stats.inferences);
-    phase.AddStat("recognizer_inferences", r.recognizer_stats.inferences);
-    if (r.degraded_clips > 0) phase.AddStat("degraded_clips", r.degraded_clips);
-    if (r.dropped_clips > 0) phase.AddStat("dropped_clips", r.dropped_clips);
-  };
-  QueryResult result;
-  result.online = true;
+  online::OnlineResult run;
   if (stmt.IsConjunctive()) {
     VAQ_ASSIGN_OR_RETURN(
         QuerySpec spec,
         QuerySpec::FromNames(scenario.vocab(), stmt.action, stmt.objects));
-    online::Svaqd engine(spec, scenario.layout(), options);
-    online::OnlineResult online_result =
-        engine.Run(models->detector.get(), models->recognizer.get());
-    result.sequences = std::move(online_result.sequences);
-    result.detector_stats = online_result.detector_stats;
-    result.recognizer_stats = online_result.recognizer_stats;
-    result.degraded_clips = online_result.degraded_clips;
-    result.dropped_clips = online_result.dropped_clips;
-    charge(result);
-    return result;
+    run = online::Svaqd(spec, scenario.layout(), options)
+              .Run(models->detector.get(), models->recognizer.get());
+  } else {
+    // General CNF statement (footnotes 3-4): the same engine over the
+    // statement's clauses.
+    VAQ_ASSIGN_OR_RETURN(
+        CnfQuery cnf,
+        CnfQuery::FromNames(scenario.vocab(), stmt.cnf_clauses));
+    online::CnfStream engine(std::move(cnf), scenario.layout(),
+                             online::CnfEngineOptions{options});
+    run = online::RunToEnd(engine, models->detector.get(),
+                           models->recognizer.get());
   }
-  // General CNF statement (footnotes 3-4): the disjunction-aware engine.
-  VAQ_ASSIGN_OR_RETURN(
-      CnfQuery cnf,
-      CnfQuery::FromNames(scenario.vocab(), stmt.cnf_clauses));
-  online::CnfEngineOptions cnf_options;
-  cnf_options.svaqd = options;
-  online::CnfEngine engine(cnf, scenario.layout(), cnf_options);
-  online::CnfResult cnf_result =
-      engine.Run(models->detector.get(), models->recognizer.get());
-  result.sequences = std::move(cnf_result.sequences);
-  result.detector_stats = cnf_result.detector_stats;
-  result.recognizer_stats = cnf_result.recognizer_stats;
-  charge(result);
+  QueryResult result;
+  result.online = true;
+  result.sequences = std::move(run.sequences);
+  result.detector_stats = run.detector_stats;
+  result.recognizer_stats = run.recognizer_stats;
+  result.degraded_clips = run.degraded_clips;
+  result.dropped_clips = run.dropped_clips;
+  phase.AddMs(result.detector_stats.simulated_ms +
+              result.recognizer_stats.simulated_ms);
+  phase.AddStat("detector_inferences", result.detector_stats.inferences);
+  phase.AddStat("recognizer_inferences", result.recognizer_stats.inferences);
+  if (result.degraded_clips > 0) {
+    phase.AddStat("degraded_clips", result.degraded_clips);
+  }
+  if (result.dropped_clips > 0) {
+    phase.AddStat("dropped_clips", result.dropped_clips);
+  }
   return result;
 }
 

@@ -132,11 +132,12 @@ std::string FrameWal(uint32_t tag, WalRecord record) {
   return std::move(ar).TakeBytes();
 }
 
-// 1 = StreamingSvaqd, 2 = CnfStream, 0 = none (the statement failed to
-// build an engine).
+// The engine's snapshot layout: 1 = conjunctive (StreamingSvaqd), 2 = CNF,
+// 0 = none (the statement failed to build an engine).
 template <typename StandingQuery>
 uint32_t EngineKind(const StandingQuery& q) {
-  return q.svaqd != nullptr ? 1u : (q.cnf != nullptr ? 2u : 0u);
+  if (q.engine == nullptr) return 0u;
+  return q.engine->conjunctive() ? 1u : 2u;
 }
 
 }  // namespace
@@ -618,7 +619,7 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
       q.status = spec.status();
       q.finished = true;
     } else {
-      q.svaqd = std::make_unique<online::StreamingSvaqd>(
+      q.engine = std::make_unique<online::StreamingSvaqd>(
           std::move(spec).value(), source.scenario.layout(), source.options,
           online::StreamingSvaqd::Callback());
     }
@@ -629,10 +630,9 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
       q.status = cnf.status();
       q.finished = true;
     } else {
-      online::CnfEngineOptions cnf_options;
-      cnf_options.svaqd = source.options;
-      q.cnf = std::make_unique<online::CnfStream>(
-          std::move(cnf).value(), source.scenario.layout(), cnf_options);
+      q.engine = std::make_unique<online::CnfStream>(
+          std::move(cnf).value(), source.scenario.layout(),
+          online::CnfEngineOptions{source.options});
     }
   }
   if (q.stmt.recall_target < 1.0 && q.status.ok()) {
@@ -648,7 +648,7 @@ Status Server::AdmitStandingLocked(int64_t id, const std::string& sql,
 Status Server::PlanStandingCascadeLocked(StandingQuery* q,
                                          const StreamSource& source) {
   cascade::CascadePlan plan;
-  if (q->svaqd != nullptr) {
+  if (q->stmt.IsConjunctive()) {
     cascade::ProxySet& set = proxies_[q->source];
     if (set.find(q->source) == set.end()) {
       // First approximate query on this stream: load the persisted proxy
@@ -755,15 +755,11 @@ Status Server::AdvanceStreamLocked(const std::string& source) {
     // Cascade prefilter: a clip the proxy ruled out advances the engine
     // without any model call (per-query proxy-vs-expensive attribution
     // lands on the advance node as clips_pruned).
-    const bool pruned = q.cascade_active && q.svaqd != nullptr &&
-                        !q.surviving.Contains(pos);
+    const bool pruned = q.cascade_active && !q.surviving.Contains(pos);
     StatusOr<bool> indicator =
-        pruned ? q.svaqd->PushPrunedClip()
-        : q.svaqd != nullptr
-            ? q.svaqd->PushClip(q.models->detector.get(),
-                                q.models->recognizer.get())
-            : q.cnf->PushClip(q.models->detector.get(),
-                              q.models->recognizer.get());
+        pruned ? q.engine->PushPrunedClip()
+               : q.engine->PushClip(q.models->detector.get(),
+                                    q.models->recognizer.get());
     if (!indicator.ok()) {
       q.status = indicator.status();
       q.finished = true;
@@ -815,8 +811,7 @@ std::vector<ServedQuery> Server::FinishStanding() {
   for (const std::unique_ptr<StandingQuery>& owner : standing_) {
     StandingQuery& q = *owner;
     if (!q.finished) {
-      if (q.svaqd != nullptr) q.svaqd->Finish();
-      if (q.cnf != nullptr) q.cnf->Finish();
+      if (q.engine != nullptr) q.engine->Finish();
       q.finished = true;
     }
     ServedQuery served;
@@ -828,12 +823,10 @@ std::vector<ServedQuery> Server::FinishStanding() {
     served.trace = q.trace;
     if (q.status.ok()) {
       served.result.online = true;
-      if (q.svaqd != nullptr) {
-        served.result.sequences = q.svaqd->sequences();
-        served.result.degraded_clips = q.svaqd->degraded_clips();
-        served.result.dropped_clips = q.svaqd->dropped_clips();
-      } else if (q.cnf != nullptr) {
-        served.result.sequences = q.cnf->sequences();
+      if (q.engine != nullptr) {
+        served.result.sequences = q.engine->sequences();
+        served.result.degraded_clips = q.engine->degraded_clips();
+        served.result.dropped_clips = q.engine->dropped_clips();
       }
       served.result.detector_stats = q.det_acc;
       served.result.recognizer_stats = q.rec_acc;
@@ -1153,10 +1146,8 @@ void Server::PersistStandingLocked(ckpt::Archive& ar, StandingQuery* q) {
         " (were the registrations changed since the snapshot?)"));
     return;
   }
-  if (q->svaqd != nullptr) {
-    ar.Blob([&] { q->svaqd->Persist(ar); });
-  } else if (q->cnf != nullptr) {
-    ar.Blob([&] { q->cnf->Persist(ar); });
+  if (q->engine != nullptr) {
+    ar.Blob([&] { q->engine->Persist(ar); });
   } else {
     std::string no_engine;
     ar.String(no_engine);

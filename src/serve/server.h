@@ -318,16 +318,16 @@ class Server {
     int64_t completed = 0;
     int64_t failed = 0;
   };
-  // One admitted standing query and its incremental engine. Exactly one
-  // of svaqd/cnf is set (neither when construction failed; see status).
+  // One admitted standing query and its incremental engine: a
+  // StreamingSvaqd for a conjunctive statement, a CnfStream for a CNF one
+  // (null when construction failed; see status).
   struct StandingQuery {
     int64_t id = 0;
     std::string sql;
     std::string source;  // Registered stream name.
     std::string stack;   // Model stack (shared-cache key).
     query::QueryStatement stmt;
-    std::unique_ptr<online::StreamingSvaqd> svaqd;
-    std::unique_ptr<online::CnfStream> cnf;
+    std::unique_ptr<online::CnfStream> engine;
     detect::ModelBundle owned_models;  // Backing store when cache is off.
     detect::ModelBundle* models = nullptr;
     detect::ModelStats det_acc;  // This query's per-clip stat deltas,
@@ -336,7 +336,7 @@ class Server {
     bool finished = false;
     // Cascade prefilter (WITH RECALL < 1.0 on a conjunctive statement;
     // DESIGN.md §14): clips outside `surviving` are pushed through
-    // StreamingSvaqd::PushPrunedClip — no model call is made for them.
+    // CnfStream::PushPrunedClip — no model call is made for them.
     bool cascade_active = false;
     IntervalSet surviving;
     std::string cascade_plan;  // Rendered plan; exact fallback included.

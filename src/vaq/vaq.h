@@ -8,7 +8,7 @@
 // Typical entry points:
 //   * synth::Scenario        — generate an evaluation video + query.
 //   * detect::ModelBundle    — simulated detector / recognizer / tracker.
-//   * online::Svaq, Svaqd    — streaming query engines.
+//   * online::Svaq, Svaqd    — streaming query engines (on CnfStream).
 //   * offline::Ingestor      — one-time ingestion into a VideoIndex.
 //   * offline::Rvaq          — ranked top-K retrieval.
 //   * query::Session         — the SQL-like front end.
@@ -38,7 +38,6 @@
 #include "offline/rvaq.h"
 #include "offline/scoring.h"
 #include "offline/tbclip.h"
-#include "online/clip_evaluator.h"
 #include "online/cnf_engine.h"
 #include "online/streaming.h"
 #include "online/svaq.h"

@@ -9,9 +9,13 @@
 #include "detect/resilient.h"
 #include "eval/metrics.h"
 #include "fault/fault_plan.h"
+#include "obs/metrics.h"
+#include "online/cnf_engine.h"
 #include "online/streaming.h"
 #include "online/svaqd.h"
 #include "synth/scenario.h"
+#include "tools/pipeline_setup.h"
+#include "video/cnf_query.h"
 
 namespace vaq {
 namespace online {
@@ -215,6 +219,69 @@ TEST(ResilienceTest, AssumeNegativeIsMostConservativePolicy) {
   const OnlineResult negative = run(MissingObsPolicy::kAssumeNegative);
   const OnlineResult prior = run(MissingObsPolicy::kBackgroundPrior);
   EXPECT_LE(negative.sequences.TotalLength(), prior.sequences.TotalLength());
+}
+
+// "(dog OR car) AND running" on the second demo stream, which carries an
+// uncoupled car track.
+CnfQuery DogOrCarAndRunning(const synth::Scenario& sc) {
+  auto query = CnfQuery::FromNames(sc.vocab(),
+                                   {{"obj:dog", "obj:car"}, {"act:running"}});
+  VAQ_CHECK(query.ok()) << query.status();
+  return std::move(query).value();
+}
+
+int64_t ModelCallsTotal() {
+  int64_t total = 0;
+  for (const obs::Snapshot::Entry& entry :
+       obs::MetricRegistry::Global().TakeSnapshot().entries) {
+    if (entry.name == "vaq_model_calls_total") total += entry.counter_value;
+  }
+  return total;
+}
+
+TEST(ResilienceTest, CnfZeroRatePlanMatchesRawPathBitForBit) {
+  const synth::Scenario sc = tools::DemoScenario(1);
+  detect::ModelBundle m1 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  CnfStream raw_engine(DogOrCarAndRunning(sc), sc.layout(),
+                       CnfEngineOptions{});
+  const OnlineResult raw =
+      RunToEnd(raw_engine, m1.detector.get(), m1.recognizer.get());
+
+  const fault::FaultPlan inert(fault::FaultSpec{}, 123);
+  CnfEngineOptions options;
+  options.svaqd.fault_plan = &inert;
+  detect::ModelBundle m2 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  CnfStream wrapped_engine(DogOrCarAndRunning(sc), sc.layout(), options);
+  const OnlineResult wrapped =
+      RunToEnd(wrapped_engine, m2.detector.get(), m2.recognizer.get());
+
+  EXPECT_EQ(wrapped.clip_indicator, raw.clip_indicator);
+  EXPECT_EQ(wrapped.sequences, raw.sequences);
+  EXPECT_EQ(wrapped_engine.kcrit(), raw_engine.kcrit());
+  EXPECT_EQ(wrapped.detector_stats.inferences, raw.detector_stats.inferences);
+  EXPECT_EQ(wrapped.recognizer_stats.inferences,
+            raw.recognizer_stats.inferences);
+  EXPECT_EQ(wrapped.degraded_clips, 0);
+  EXPECT_EQ(wrapped.detector_stats.faults_injected, 0);
+  EXPECT_EQ(wrapped.detector_stats.fallbacks, 0);
+}
+
+TEST(ResilienceTest, CnfUnderDemoFaultsReportsDegradedClips) {
+  const synth::Scenario sc = tools::DemoScenario(1);
+  const fault::FaultPlan plan(tools::DemoFaultSpec(), 21);
+  CnfEngineOptions options{tools::DemoSvaqdOptions(&plan)};
+  detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  CnfStream engine(DogOrCarAndRunning(sc), sc.layout(), options);
+  const int64_t calls_before = ModelCallsTotal();
+  const OnlineResult result =
+      RunToEnd(engine, models.detector.get(), models.recognizer.get());
+
+  EXPECT_GT(ModelCallsTotal(), calls_before);  // The wrappers ran.
+  EXPECT_GT(result.degraded_clips, 0);
+  EXPECT_GT(result.dropped_clips, 0);
+  EXPECT_GT(result.detector_stats.faults_injected, 0);
+  EXPECT_GT(result.detector_stats.fallbacks, 0);
+  EXPECT_GT(result.recognizer_stats.fallbacks, 0);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/serializer.h"
 #include "detect/models.h"
+#include "fault/fault_plan.h"
 #include "synth/scenario.h"
 
 namespace vaq {
@@ -76,6 +78,68 @@ TEST(StreamingSvaqdTest, PushClipFailsCleanlyAfterFinishAndPastHorizon) {
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(stream.finished());
+}
+
+// Under a fault plan the resilience wrappers bind to the first push's
+// models. A push with a different instance is rejected before anything
+// moves: it consumes no clip and no virtual time, so the stream goes on
+// exactly like one that never saw the bad call.
+TEST(StreamingSvaqdTest, MismatchedModelPushConsumesNoClip) {
+  const synth::Scenario& sc = StreamScenario();
+  fault::FaultSpec spec;
+  spec.timeout_rate = 0.05;
+  spec.crash_rate = 0.1;
+  spec.crash_len_units = 600;
+  spec.drop_clip_rate = 0.02;
+  const fault::FaultPlan plan(spec, 21);
+  SvaqdOptions options;
+  options.fault_plan = &plan;
+  detect::ModelBundle m1 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  detect::ModelBundle m2 = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  detect::ModelBundle other = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 3);
+  std::vector<SequenceEvent> events;
+  StreamingSvaqd stream(sc.query(), sc.layout(), options,
+                        [&](const SequenceEvent& e) { events.push_back(e); });
+  std::vector<SequenceEvent> clean_events;
+  StreamingSvaqd clean(
+      sc.query(), sc.layout(), options,
+      [&](const SequenceEvent& e) { clean_events.push_back(e); });
+  std::vector<bool> indicators;
+  std::vector<bool> clean_indicators;
+  for (ClipIndex c = 0; c < sc.layout().NumClips(); ++c) {
+    if (c == 5) {
+      const auto bad_detector =
+          stream.PushClip(other.detector.get(), m1.recognizer.get());
+      EXPECT_EQ(bad_detector.status().code(), StatusCode::kInvalidArgument);
+      const auto bad_recognizer =
+          stream.PushClip(m1.detector.get(), other.recognizer.get());
+      EXPECT_EQ(bad_recognizer.status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(stream.next_clip(), 5);
+    }
+    indicators.push_back(
+        *stream.PushClip(m1.detector.get(), m1.recognizer.get()));
+    clean_indicators.push_back(
+        *clean.PushClip(m2.detector.get(), m2.recognizer.get()));
+  }
+  stream.Finish();
+  clean.Finish();
+  EXPECT_EQ(indicators, clean_indicators);
+  EXPECT_EQ(stream.sequences(), clean.sequences());
+  EXPECT_EQ(stream.degraded_clips(), clean.degraded_clips());
+  ASSERT_EQ(events.size(), clean_events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, clean_events[i].kind) << i;
+    EXPECT_EQ(events[i].sequence, clean_events[i].sequence) << i;
+    EXPECT_EQ(events[i].clip, clean_events[i].clip) << i;
+  }
+  // Retry nonces, breaker state and the clock match too.
+  const auto save = [](StreamingSvaqd& engine) {
+    return ckpt::SaveBlob([&](ckpt::Archive& ar) { engine.Persist(ar); });
+  };
+  EXPECT_EQ(save(stream), save(clean));
+  EXPECT_EQ(other.detector->stats().type_queries, 0);
+  EXPECT_EQ(other.recognizer->stats().type_queries, 0);
 }
 
 TEST(StreamingSvaqdTest, EventsAreConsistentAndTimely) {

@@ -1,3 +1,4 @@
+#include "online/cnf_engine.h"
 #include "online/svaq.h"
 #include "online/svaqd.h"
 
@@ -37,53 +38,77 @@ const synth::Scenario& SmallScenario() {
   return *scenario;
 }
 
-TEST(ClipEvaluatorTest, CountsMatchDirectModelScan) {
+// A static, non-probing engine over the scenario's conjunctive query, so
+// every clip is evaluated with the initial critical values.
+CnfEngineOptions StaticOptions(bool short_circuit) {
+  CnfEngineOptions options;
+  options.svaqd.base.short_circuit = short_circuit;
+  options.svaqd.probe_period = 0;
+  options.adaptive = false;
+  return options;
+}
+
+TEST(OnlineEngineTest, CountsMatchDirectModelScan) {
   const synth::Scenario& sc = SmallScenario();
   detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  ClipEvaluator evaluator(sc.query(), sc.layout(), models.detector.get(),
-                          models.recognizer.get());
-  for (ClipIndex c : {0L, 7L, 33L}) {
-    const ClipEvaluation eval =
-        evaluator.Evaluate(c, {0}, 0, /*short_circuit=*/false);
+  detect::ModelBundle direct = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
+  CnfStream engine(sc.query(), sc.layout(), StaticOptions(false));
+  for (ClipIndex c = 0; c <= 33; ++c) {
+    const int64_t frames_before = models.detector->stats().type_queries;
+    const int64_t shots_before = models.recognizer->stats().type_queries;
+    ASSERT_TRUE(
+        engine.PushClip(models.detector.get(), models.recognizer.get()).ok());
+    if (c != 0 && c != 7 && c != 33) continue;
+    const std::vector<int64_t> counts = engine.clip_counts();
+    ASSERT_EQ(counts.size(), 2u);  // The object, then the action.
     int64_t object_count = 0;
     const Interval frames = sc.layout().ClipFrameRange(c);
     for (FrameIndex v = frames.lo; v <= frames.hi; ++v) {
       object_count +=
-          models.detector->IsPositive(sc.query().objects[0], v) ? 1 : 0;
+          direct.detector->IsPositive(sc.query().objects[0], v) ? 1 : 0;
     }
     int64_t action_count = 0;
     const Interval shots = sc.layout().ClipShotRange(c);
     for (ShotIndex s = shots.lo; s <= shots.hi; ++s) {
       action_count +=
-          models.recognizer->IsPositive(sc.query().action, s) ? 1 : 0;
+          direct.recognizer->IsPositive(sc.query().action, s) ? 1 : 0;
     }
-    EXPECT_EQ(eval.object_counts[0], object_count);
-    EXPECT_EQ(eval.action_count, action_count);
-    EXPECT_EQ(eval.frames_in_clip, frames.length());
-    EXPECT_EQ(eval.shots_in_clip, shots.length());
+    EXPECT_EQ(counts[0], object_count);
+    EXPECT_EQ(counts[1], action_count);
+    // The engine scanned exactly the clip's frames and shots.
+    EXPECT_EQ(models.detector->stats().type_queries - frames_before,
+              frames.length());
+    EXPECT_EQ(models.recognizer->stats().type_queries - shots_before,
+              shots.length());
   }
 }
 
-TEST(ClipEvaluatorTest, ShortCircuitSkipsLaterPredicates) {
+TEST(OnlineEngineTest, ShortCircuitSkipsLaterPredicates) {
   const synth::Scenario& sc = SmallScenario();
+  // A hostile p0 puts the object's critical value above the clip's frame
+  // count: the object predicate fails on every clip, so with
+  // short-circuiting the action is never evaluated.
+  CnfEngineOptions options = StaticOptions(true);
+  options.svaqd.base.p0_object = 0.9;
   detect::ModelBundle models = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
-  ClipEvaluator evaluator(sc.query(), sc.layout(), models.detector.get(),
-                          models.recognizer.get());
-  // Impossible object threshold: the object predicate fails, so the action
-  // must not be evaluated.
-  const int64_t w = sc.layout().frames_per_clip();
-  const ClipEvaluation eval =
-      evaluator.Evaluate(0, {w + 1}, 1, /*short_circuit=*/true);
-  EXPECT_FALSE(eval.positive);
-  EXPECT_TRUE(eval.ObjectEvaluated(0));
-  EXPECT_FALSE(eval.ActionEvaluated());
+  CnfStream engine(sc.query(), sc.layout(), options);
+  ASSERT_GT(engine.kcrit()[0], sc.layout().frames_per_clip());
+  const StatusOr<bool> positive =
+      engine.PushClip(models.detector.get(), models.recognizer.get());
+  ASSERT_TRUE(positive.ok());
+  EXPECT_FALSE(*positive);
+  EXPECT_GE(engine.clip_counts()[0], 0);  // The object was evaluated,
+  EXPECT_EQ(engine.clip_counts()[1], -1);  // the action skipped.
+  EXPECT_EQ(models.recognizer->stats().type_queries, 0);
   // Without short-circuiting everything is evaluated.
-  const ClipEvaluation full =
-      evaluator.Evaluate(0, {w + 1}, 1, /*short_circuit=*/false);
-  EXPECT_TRUE(full.ActionEvaluated());
+  options.svaqd.base.short_circuit = false;
+  CnfStream full(sc.query(), sc.layout(), options);
+  ASSERT_TRUE(
+      full.PushClip(models.detector.get(), models.recognizer.get()).ok());
+  EXPECT_GE(full.clip_counts()[1], 0);
 }
 
-TEST(ClipEvaluatorTest, ShortCircuitSavesInferences) {
+TEST(OnlineEngineTest, ShortCircuitSavesInferences) {
   const synth::Scenario& sc = SmallScenario();
   detect::ModelBundle with = detect::ModelBundle::MaskRcnnI3d(sc.truth(), 5);
   detect::ModelBundle without =
